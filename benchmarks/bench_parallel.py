@@ -3,9 +3,9 @@
 The appendix sketches FLAML's parallel mode: whenever a resource is free,
 sample another learner by ECI (possibly a second thread of the same
 learner from a different starting point); feedback becomes visible when a
-trial finishes.  ``repro.core.parallel`` simulates this with virtual
-workers (DESIGN.md §2 substitution: multi-core hardware → virtual-time
-scheduler over the identical proposer logic).
+trial finishes.  ``SearchController(backend="virtual")`` simulates this
+with virtual workers (DESIGN.md §2 substitution: multi-core hardware →
+virtual-time scheduler over the identical proposer logic).
 
 This bench runs the same search with 1 / 2 / 4 virtual workers on a
 paper-scale task and reports anytime curves in *virtual wall-clock* time.
@@ -27,7 +27,7 @@ from repro.bench import (
     format_ablation_curves,
     time_to_error,
 )
-from repro.core.parallel import ParallelSearchController
+from repro.core.controller import SearchController
 from repro.core.registry import DEFAULT_LEARNERS
 from repro.metrics import get_metric
 
@@ -43,10 +43,10 @@ def run_parallel_sweep():
     }
     out = {}
     for w in WORKERS:
-        controller = ParallelSearchController(
+        controller = SearchController(
             data, learners, metric,
             time_budget=VIRTUAL_BUDGET, n_workers=w, seed=0,
-            init_sample_size=1000, max_trials=200,
+            init_sample_size=1000, max_iters=200, backend="virtual",
             **SCALED_THRESHOLDS,
         )
         out[w] = controller.run()

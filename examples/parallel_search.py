@@ -1,13 +1,15 @@
 """Parallel search threads (paper appendix) — virtual and real workers.
 
 "When abundant cores are available ... we can sample another learner by
-ECI, and so on."  The ParallelSearchController schedules trials through
-the pluggable execution engine (repro.exec):
+ECI, and so on."  SearchController keeps up to n_workers trials in
+flight through the pluggable execution engine (repro.exec):
 
-* backend="virtual" simulates n_workers on a virtual clock — more
+* backend="serial"/"thread"/"process" runs trials on the wall clock —
+  thread and process pools genuinely overlap them — and commits
+  completions in launch order, so logs stay reproducible;
+* backend="virtual" (opt-in) simulates n_workers on a virtual clock:
+  each trial runs inline and commits at its virtual finish time, so more
   workers complete more trials within the same virtual budget;
-* backend="thread"/"process" genuinely overlaps trials on a pool, with
-  completions committed in launch order so logs stay reproducible;
 * every backend shares the LRU trial cache, so duplicate proposals
   (frequent on integer-valued search spaces) cost nothing.
 
@@ -15,7 +17,7 @@ Run:  python examples/parallel_search.py
 """
 
 from repro.bench import best_so_far
-from repro.core.parallel import ParallelSearchController
+from repro.core.controller import SearchController
 from repro.core.registry import DEFAULT_LEARNERS
 from repro.data import make_classification
 from repro.metrics import get_metric
@@ -29,10 +31,11 @@ print("virtual workers (simulated clock):")
 print(f"{'workers':>8}{'trials':>8}{'cache hits':>12}{'best error':>12}"
       f"{'virtual time':>14}")
 for n_workers in (1, 2, 4):
-    ctl = ParallelSearchController(
+    ctl = SearchController(
         data, learners, metric,
         time_budget=3.0, n_workers=n_workers, seed=0,
         init_sample_size=500, cv_instance_threshold=2500,
+        backend="virtual",
     )
     res = ctl.run()
     print(f"{n_workers:>8}{res.n_trials:>8}{res.cache_hits:>12}"
@@ -42,7 +45,7 @@ print("\nreal execution backends (same budget, wall clock):")
 print(f"{'backend':>8}{'workers':>8}{'trials':>8}{'best error':>12}"
       f"{'wall time':>12}")
 for backend, n_workers in (("serial", 1), ("thread", 2), ("process", 2)):
-    ctl = ParallelSearchController(
+    ctl = SearchController(
         data, learners, metric,
         time_budget=3.0, n_workers=n_workers, seed=0,
         init_sample_size=500, cv_instance_threshold=2500,
@@ -53,9 +56,9 @@ for backend, n_workers in (("serial", 1), ("thread", 2), ("process", 2)):
           f"{res.best_error:>12.4f}{res.wall_time:>11.2f}s")
 
 print("\nanytime curve with 4 virtual workers (virtual time, best error):")
-ctl = ParallelSearchController(
+ctl = SearchController(
     data, learners, metric, time_budget=3.0, n_workers=4, seed=0,
-    init_sample_size=500, cv_instance_threshold=2500,
+    init_sample_size=500, cv_instance_threshold=2500, backend="virtual",
 )
 res = ctl.run()
 last = None

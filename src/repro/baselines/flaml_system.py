@@ -58,46 +58,26 @@ class FLAMLSystem(AutoMLSystem):
 
     def search(self, data: Dataset, metric: Metric, time_budget: float,
                seed: int = 0) -> SearchResult:
-        """Run FLAML's controller within the budget.
-
-        ``n_workers > 1`` (or an explicit non-serial ``backend``) runs
-        the search over the parallel controller on the chosen
-        :mod:`repro.exec` substrate instead of the sequential loop.
-        """
-        backend = self.backend
-        if backend is None:
-            backend = "serial" if self.n_workers == 1 else "thread"
-        common = dict(
+        """Run FLAML's controller within the budget, with up to
+        ``n_workers`` trials in flight on ``backend`` (default: serial
+        for one worker, thread for more)."""
+        return SearchController(
+            data, self._learners(data.task, self.estimator_list), metric,
             time_budget=time_budget,
+            n_workers=self.n_workers,
             seed=seed,
             init_sample_size=self.init_sample_size,
             sample_growth=self.sample_growth,
             learner_selection=self.learner_selection,
             use_sampling=self.use_sampling,
             resampling_override=self.resampling_override,
+            random_init=self.random_init,
             cv_instance_threshold=self.cv_instance_threshold,
             cv_rate_threshold=self.cv_rate_threshold,
             fitted_cost_model=self.fitted_cost_model,
+            backend=self.backend,
             trial_cache=self.trial_cache,
-        )
-        learners = self._learners(data.task, self.estimator_list)
-        if backend == "serial" and self.n_workers == 1:
-            controller = SearchController(
-                data, learners, metric,
-                random_init=self.random_init,
-                **common,
-            )
-        else:
-            from ..core.parallel import ParallelSearchController
-
-            controller = ParallelSearchController(
-                data, learners, metric,
-                n_workers=self.n_workers,
-                backend=backend,
-                random_init=self.random_init,
-                **common,
-            )
-        return controller.run()
+        ).run()
 
 
 #: ablation name -> constructor kwargs overriding one strategy component

@@ -18,7 +18,6 @@ from .metalearning import (
     build_portfolio,
     meta_features,
 )
-from .parallel import ParallelSearchController
 from .registry import (
     DEFAULT_LEARNERS,
     EXTRA_LEARNERS,
@@ -55,7 +54,6 @@ __all__ = [
     "LogRandInt",
     "LogUniform",
     "MetaPortfolio",
-    "ParallelSearchController",
     "PortfolioEntry",
     "RandInt",
     "SearchController",

@@ -219,25 +219,32 @@ class AutoML:
         with that run's best config (the §1 scenario of re-tuning on
         refreshed data); explicit ``starting_points`` win on conflicts.
 
-        ``n_workers``/``backend`` choose the trial-execution substrate
-        (:mod:`repro.exec`): the default is the sequential controller on
-        the serial backend; ``n_workers > 1`` runs up to that many trials
-        concurrently on a ``"thread"`` (default) or ``"process"`` pool —
-        ``"process"`` gives true multi-core parallelism but requires
-        picklable learners/metrics — and ``backend="virtual"`` simulates
-        ``n_workers`` workers on a virtual clock.  Parallel backends do
-        not retain evaluated models, so ``retrain_full=False`` only
-        takes effect on the default sequential path; with ``n_workers >
-        1`` the winner is always retrained on the full data.
+        ``n_workers``/``backend`` choose how the one search loop runs
+        (:class:`~repro.core.controller.SearchController`): it keeps up
+        to ``n_workers`` trials in flight on the chosen
+        :mod:`repro.exec` substrate — ``"serial"`` (the default for one
+        worker), ``"thread"`` (the default for more) or ``"process"``,
+        which gives true multi-core parallelism but requires picklable
+        learners/metrics — and commits them in launch order, so racy
+        completion order never changes the trial log.
+        ``backend="virtual"`` is opt-in: it simulates ``n_workers``
+        workers on a virtual clock, running each trial inline and
+        committing it at its virtual finish time.  Only the one-worker
+        serial substrate without ``executor_factory`` hands back the
+        evaluated models, so ``retrain_full=False`` takes effect only
+        there; everywhere else the winner is retrained on the full data.
         ``executor_factory`` hands trial execution to an external
         substrate: it is called with the prepared (shuffled,
         preprocessed) :class:`~repro.data.dataset.Dataset` and must
         return a :class:`~repro.exec.TrialExecutor` — e.g. a
         ``SharedWorkerPool.lease(...)`` so many concurrent ``fit`` calls
         multiplex one pool (the multi-tenant fit service).  The executor
-        names the backend; ``stop_event`` (a ``threading.Event``)
-        cancels the search cooperatively between trials; ``tenant``
-        labels this search's ``repro_tenant_*`` metrics.
+        names the backend, and ``search_result.backend`` reports the
+        substrate the search finished on (after any degradation down the
+        process → thread → serial ladder); ``stop_event`` (a
+        ``threading.Event``) cancels the search cooperatively between
+        trials; ``tenant`` labels this search's ``repro_tenant_*``
+        metrics.
         ``trial_cache`` enables the LRU trial cache (repeated proposals
         are free; see ``search_result.cache_hits``) — pass a
         :class:`~repro.exec.TrialCache` *instance* to share one store
@@ -353,15 +360,6 @@ class AutoML:
             starting_points = {**resumed, **(starting_points or {})}
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        executor = None
-        if executor_factory is not None:
-            # the lease must bind to the *prepared* dataset (shuffled /
-            # preprocessed above) — hence a factory, not an instance
-            executor = executor_factory(data)
-            if backend is None:
-                backend = getattr(executor, "backend", "shared")
-        if backend is None:
-            backend = "serial" if n_workers == 1 else "thread"
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
         retry_policy = None
@@ -371,69 +369,44 @@ class AutoML:
             retry_policy = RetryPolicy(
                 max_attempts=int(retries) + 1, retry_budget=retry_budget
             )
-        if backend == "serial" and n_workers == 1 and executor is None:
-            controller = SearchController(
-                data,
-                learners,
-                metric_obj,
-                time_budget=time_budget,
-                seed=seed,
-                init_sample_size=self.init_sample_size,
-                sample_growth=self.sample_growth,
-                n_splits=n_splits,
-                holdout_ratio=holdout_ratio,
-                learner_selection=learner_selection,
-                use_sampling=use_sampling,
-                resampling_override=resampling,
-                cv_instance_threshold=cv_instance_threshold,
-                cv_rate_threshold=cv_rate_threshold,
-                max_iters=max_iters,
-                keep_models=not retrain_full,
-                stop_at_error=stop_at_error,
-                starting_points=starting_points,
-                fitted_cost_model=fitted_cost_model,
-                trial_cache=trial_cache,
-                trial_time_limit=trial_time_limit,
-                horizon=self._horizon,
-                seasonal_period=self._seasonal_period,
-                retry_policy=retry_policy,
-                stop_event=stop_event,
-                tenant=tenant,
-            )
-        else:
-            from .parallel import ParallelSearchController
-
-            controller = ParallelSearchController(
-                data,
-                learners,
-                metric_obj,
-                time_budget=time_budget,
-                n_workers=n_workers,
-                seed=seed,
-                init_sample_size=self.init_sample_size,
-                sample_growth=self.sample_growth,
-                n_splits=n_splits,
-                holdout_ratio=holdout_ratio,
-                learner_selection=learner_selection,
-                use_sampling=use_sampling,
-                resampling_override=resampling,
-                cv_instance_threshold=cv_instance_threshold,
-                cv_rate_threshold=cv_rate_threshold,
-                max_trials=max_iters if max_iters is not None else 10_000,
-                stop_at_error=stop_at_error,
-                starting_points=starting_points,
-                fitted_cost_model=fitted_cost_model,
-                backend=backend,
-                executor=executor,
-                trial_cache=trial_cache,
-                trial_time_limit=trial_time_limit,
-                horizon=self._horizon,
-                seasonal_period=self._seasonal_period,
-                retry_policy=retry_policy,
-                stop_event=stop_event,
-                tenant=tenant,
-            )
-        self._result = controller.run()
+        executor = None
+        if executor_factory is not None:
+            # the lease must bind to the *prepared* dataset (shuffled /
+            # preprocessed above) — hence a factory, not an instance
+            executor = executor_factory(data)
+        self._result = SearchController(
+            data,
+            learners,
+            metric_obj,
+            time_budget=time_budget,
+            n_workers=n_workers,
+            seed=seed,
+            init_sample_size=self.init_sample_size,
+            sample_growth=self.sample_growth,
+            n_splits=n_splits,
+            holdout_ratio=holdout_ratio,
+            learner_selection=learner_selection,
+            use_sampling=use_sampling,
+            resampling_override=resampling,
+            cv_instance_threshold=cv_instance_threshold,
+            cv_rate_threshold=cv_rate_threshold,
+            max_iters=max_iters,
+            # only the inline serial substrate hands back fitted models
+            keep_models=(not retrain_full and n_workers == 1
+                         and executor is None and backend in (None, "serial")),
+            stop_at_error=stop_at_error,
+            starting_points=starting_points,
+            fitted_cost_model=fitted_cost_model,
+            backend=backend,
+            executor=executor,
+            trial_cache=trial_cache,
+            trial_time_limit=trial_time_limit,
+            horizon=self._horizon,
+            seasonal_period=self._seasonal_period,
+            retry_policy=retry_policy,
+            stop_event=stop_event,
+            tenant=tenant,
+        ).run()
         if log_file:
             from .serialize import save_result
 

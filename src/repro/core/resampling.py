@@ -60,7 +60,7 @@ def resolve_resampling(
     rate_threshold: float = PAPER_RATE_THRESHOLD,
     horizon: int = 1,
 ) -> tuple[str, int]:
-    """Step 0 as both controllers run it: ``(strategy, full_size)``.
+    """Step 0 as the controller runs it: ``(strategy, full_size)``.
 
     An explicit ``override`` wins; forecast tasks always use
     rolling-origin temporal CV (random splits would train on the

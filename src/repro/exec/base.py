@@ -1,10 +1,10 @@
 """Trial-execution interface: what a trial *is* and how backends run one.
 
-The controllers (``repro.core.controller`` / ``repro.core.parallel``)
-describe each trial as a :class:`TrialSpec` — the χ = (learner,
-hyperparameters, sample size, resampling) of the paper plus the
-evaluation context — and submit it to a :class:`TrialExecutor`.  The
-executor decides *where* the trial runs:
+The search controller (``repro.core.controller``) describes each
+trial as a :class:`TrialSpec` — the χ = (learner, hyperparameters,
+sample size, resampling) of the paper plus the evaluation context — and
+submits it to a :class:`TrialExecutor`.  The executor decides *where*
+the trial runs:
 
 * :class:`~repro.exec.serial.SerialExecutor` — inline, in the caller;
 * :class:`~repro.exec.threaded.ThreadExecutor` — a thread pool;

@@ -7,7 +7,6 @@ import pytest
 from repro import AutoML
 from repro.core.controller import SearchController
 from repro.core.ensemble import StackedEnsemble, build_ensemble, select_ensemble_members
-from repro.core.parallel import ParallelSearchController
 from repro.core.registry import DEFAULT_LEARNERS
 from repro.data import make_classification, make_regression
 from repro.metrics import get_metric, roc_auc_score
@@ -90,10 +89,10 @@ class TestStackedEnsemble:
 
 class TestParallelController:
     def test_virtual_parallel_run(self, clf_data):
-        ctl = ParallelSearchController(
+        ctl = SearchController(
             clf_data, _learners(("lgbm", "rf", "lrl1")), get_metric("roc_auc"),
             time_budget=0.6, n_workers=3, seed=0, init_sample_size=200,
-            cv_instance_threshold=0,
+            cv_instance_threshold=0, backend="virtual",
         )
         res = ctl.run()
         assert res.n_trials >= 3
@@ -105,17 +104,17 @@ class TestParallelController:
         """With the same virtual budget, more workers complete more trials."""
         counts = {}
         for w in (1, 4):
-            ctl = ParallelSearchController(
+            ctl = SearchController(
                 clf_data, _learners(("lgbm", "rf")), get_metric("roc_auc"),
                 time_budget=0.4, n_workers=w, seed=0, init_sample_size=200,
-                cv_instance_threshold=0, max_trials=60,
+                cv_instance_threshold=0, max_iters=60, backend="virtual",
             )
             counts[w] = ctl.run().n_trials
         assert counts[4] > counts[1]
 
     def test_invalid_workers(self, clf_data):
         with pytest.raises(ValueError):
-            ParallelSearchController(
+            SearchController(
                 clf_data, _learners(("lgbm",)), get_metric("roc_auc"),
                 n_workers=0,
             )

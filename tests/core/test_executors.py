@@ -9,7 +9,6 @@ import repro.exec.serial as serial_mod
 from repro import AutoML
 from repro.core.controller import SearchController
 from repro.core.evaluate import TrialOutcome
-from repro.core.parallel import ParallelSearchController
 from repro.core.registry import DEFAULT_LEARNERS, make_spec_from_class
 from repro.core.space import RandInt, SearchSpace
 from repro.data import make_classification
@@ -45,8 +44,8 @@ def _log_fields(result):
 class TestSerialParallelEquivalence:
     def test_identical_trial_logs_with_one_worker(self, data, metric,
                                                   monkeypatch):
-        """ParallelSearchController with n_workers=1 reproduces the
-        SerialExecutor-backed SearchController trial-for-trial.
+        """The virtual clock with n_workers=1 reproduces the
+        SerialExecutor-backed wall-clock loop trial-for-trial.
 
         ECI-based learner selection feeds on measured trial costs, so to
         compare the *logic* (not the timer) the executor's work function
@@ -74,9 +73,9 @@ class TestSerialParallelEquivalence:
             data, _learners(("lgbm", "rf", "lrl1")), metric,
             executor=SerialExecutor(data), max_iters=12, **kw,
         ).run()
-        parallel = ParallelSearchController(
+        parallel = SearchController(
             data, _learners(("lgbm", "rf", "lrl1")), metric,
-            n_workers=1, backend="virtual", max_trials=12, **kw,
+            n_workers=1, backend="virtual", max_iters=12, **kw,
         ).run()
         assert sequential.n_trials == parallel.n_trials == 12
         assert _log_fields(sequential) == _log_fields(parallel)
@@ -129,8 +128,8 @@ class TestSerialParallelEquivalence:
 
         sequential = faulted(SearchController,
                              executor=SerialExecutor(data), max_iters=12)
-        parallel = faulted(ParallelSearchController,
-                           n_workers=1, backend="virtual", max_trials=12)
+        parallel = faulted(SearchController,
+                           n_workers=1, backend="virtual", max_iters=12)
         attempts = [t.attempts for t in sequential.trials]
         assert sequential.n_trials == parallel.n_trials == 12
         assert _log_fields(sequential) == _log_fields(parallel)
@@ -269,7 +268,7 @@ class TestRealBackendsThroughAutoML:
 
 class TestParallelControllerOptions:
     def test_stop_at_error_real_backend(self, data, metric):
-        res = ParallelSearchController(
+        res = SearchController(
             data, _learners(("lgbm",)), metric,
             time_budget=20.0, n_workers=2, seed=0, backend="thread",
             init_sample_size=150, resampling_override="holdout",
@@ -279,20 +278,20 @@ class TestParallelControllerOptions:
         assert res.wall_time < 19.0
 
     def test_roundrobin_selection(self, data, metric):
-        res = ParallelSearchController(
+        res = SearchController(
             data, _learners(("lgbm", "rf")), metric,
             time_budget=20.0, n_workers=1, seed=0, backend="virtual",
             init_sample_size=150, resampling_override="holdout",
-            learner_selection="roundrobin", max_trials=6,
+            learner_selection="roundrobin", max_iters=6,
         ).run()
         assert [t.learner for t in res.trials] == ["lgbm", "rf"] * 3
 
     def test_starting_points_respected(self, data, metric):
         start = {"lgbm": {"tree_num": 11}}
-        res = ParallelSearchController(
+        res = SearchController(
             data, _learners(("lgbm",)), metric,
             time_budget=20.0, n_workers=1, seed=0, backend="virtual",
             init_sample_size=150, resampling_override="holdout",
-            starting_points=start, max_trials=1,
+            starting_points=start, max_iters=1,
         ).run()
         assert res.trials[0].config["tree_num"] == 11

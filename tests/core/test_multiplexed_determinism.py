@@ -19,7 +19,6 @@ import pytest
 import repro.exec.serial as serial_mod
 from repro.core.controller import SearchController
 from repro.core.evaluate import TrialOutcome
-from repro.core.parallel import ParallelSearchController
 from repro.core.registry import DEFAULT_LEARNERS
 from repro.data import make_classification
 from repro.exec import RetryPolicy, SerialExecutor, SharedWorkerPool, TrialCache
@@ -70,17 +69,17 @@ _SEARCHES = [
 
 
 def _run_on_pool(data, metric, pool, tenant, names, seed,
-                 retry_policy=None, trial_cache=False, max_trials=8,
+                 retry_policy=None, trial_cache=False, max_iters=8,
                  use_sampling=True):
     """One search through a lease on ``pool``; always releases the lease."""
     lease = pool.lease(data, tenant=tenant, max_concurrent=2)
     try:
-        return ParallelSearchController(
+        return SearchController(
             data, _learners(names), metric,
             time_budget=1e6, n_workers=2, seed=seed,
             init_sample_size=100, resampling_override="holdout",
             use_sampling=use_sampling,
-            trial_cache=trial_cache, max_trials=max_trials,
+            trial_cache=trial_cache, max_iters=max_iters,
             backend="shared", executor=lease, retry_policy=retry_policy,
         ).run()
     finally:
@@ -140,11 +139,11 @@ class TestMultiplexedEquivalence:
         ).run()
         with SharedWorkerPool(n_workers=1, run_fn=_det_cost) as pool:
             lease = pool.lease(data, tenant=tenant, max_concurrent=1)
-            shared = ParallelSearchController(
+            shared = SearchController(
                 data, _learners(names), metric,
                 time_budget=1e6, n_workers=1, seed=seed,
                 init_sample_size=100, resampling_override="holdout",
-                trial_cache=False, max_trials=8,
+                trial_cache=False, max_iters=8,
                 backend="shared", executor=lease,
             ).run()
         assert _log_fields(sequential) == _log_fields(shared)
@@ -196,7 +195,7 @@ class TestCrossSearchCache:
         cache = TrialCache()
         # no sampling: the proposal sequence is rng-driven only, immune
         # to the near-zero replay costs a cache hit reports
-        kw = dict(trial_cache=cache, max_trials=6, use_sampling=False)
+        kw = dict(trial_cache=cache, max_iters=6, use_sampling=False)
         with SharedWorkerPool(n_workers=2, run_fn=_det_cost) as pool:
             first = _run_on_pool(data, metric, pool, "alice", ("lgbm",), 5,
                                  **kw)

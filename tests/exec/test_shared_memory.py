@@ -223,14 +223,14 @@ class TestWorkerPlaneWarmup:
             ex.shutdown()
 
     def test_controller_process_backend_passes_warmup(self, data):
-        """The parallel controller hands its search context to the
-        process executor as the warmup payload."""
-        from repro.core.parallel import ParallelSearchController
+        """The controller hands its search context to the process
+        executor as the warmup payload."""
+        from repro.core.controller import SearchController
         from repro.core.registry import DEFAULT_LEARNERS
         from repro.metrics import get_metric
 
         learners = {"lgbm": DEFAULT_LEARNERS["lgbm"]}
-        ctl = ParallelSearchController(
+        ctl = SearchController(
             data, learners, get_metric("log_loss"), time_budget=1.0,
             n_workers=1, backend="process", seed=3, init_sample_size=100,
         )

@@ -244,3 +244,20 @@ class TestDegradationLadder:
             assert after == before + 1
         finally:
             engine.shutdown()
+
+    def test_search_result_reports_the_degraded_backend(self, data):
+        """The search result names the substrate the trials actually ran
+        on: the engine's backend after degradation, not the requested
+        one.  A virtual-clock search still reports "virtual"."""
+        from repro import AutoML
+
+        for backend, reported in ((None, "thread"), ("virtual", "virtual")):
+            am = AutoML(seed=0, init_sample_size=150)
+            am.fit(data.X, data.y, task="binary", time_budget=30.0,
+                   max_iters=4, n_workers=2, backend=backend,
+                   estimator_list=["lgbm"], resampling="holdout",
+                   executor_factory=_BrokenExecutor)
+            res = am.search_result
+            assert res.n_trials == 4
+            assert all(np.isfinite(t.error) for t in res.trials)
+            assert res.backend == reported

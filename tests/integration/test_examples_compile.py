@@ -3,7 +3,9 @@
 Running every example end-to-end would add minutes to the test suite, so
 here we verify each one compiles and references only the public API that
 actually exists (imports resolve).  The examples themselves are exercised
-manually / in the benchmark pipeline.
+manually / in the benchmark pipeline.  The benchmark scripts
+(``benchmarks/``, ``perfbench/``) run outside the test suite too, so
+their ``repro`` imports are checked the same way.
 """
 
 import ast
@@ -12,8 +14,20 @@ from pathlib import Path
 
 import pytest
 
-EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
+ROOT = Path(__file__).resolve().parents[2]
+EXAMPLES_DIR = ROOT / "examples"
 EXAMPLES = sorted(EXAMPLES_DIR.glob("*.py"))
+BENCH_SCRIPTS = sorted(ROOT.glob("benchmarks/*.py")) + sorted(
+    ROOT.glob("perfbench/*.py")
+)
+
+
+def _script_id(path):
+    """Examples keep their bare file name; benchmark scripts are
+    prefixed with their directory."""
+    if path.parent == EXAMPLES_DIR:
+        return path.name
+    return f"{path.parent.name}/{path.name}"
 
 
 def test_examples_exist():
@@ -28,9 +42,9 @@ def test_example_compiles(path):
     compile(source, str(path), "exec")
 
 
-@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", EXAMPLES + BENCH_SCRIPTS, ids=_script_id)
 def test_example_imports_resolve(path):
-    """Every `from repro...` import in the example must resolve."""
+    """Every `from repro...` import in the script must resolve."""
     tree = ast.parse(path.read_text())
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module and (
