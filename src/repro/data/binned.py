@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import os
 import threading
+import weakref
 import zlib
 from collections import OrderedDict
 
@@ -203,9 +204,7 @@ class _PrefixCodes:
     is ``np.empty``, untouched tail pages stay virtual.
     """
 
-    def __init__(self, plane: "BinnedDataset", order: np.ndarray,
-                 binner) -> None:
-        self._plane = plane
+    def __init__(self, order: np.ndarray, binner) -> None:
         self._order = order
         self._binner = binner
         self._buf: np.ndarray | None = None
@@ -219,7 +218,9 @@ class _PrefixCodes:
             return 0
         return self._filled * self._buf.shape[1] * self._buf.itemsize
 
-    def codes(self, s: int) -> np.ndarray:
+    def codes(self, s: int, plane: "BinnedDataset") -> np.ndarray:
+        # the owning plane is passed in, not stored: a back-reference
+        # would put every plane in a cycle that only a full GC frees
         s = int(s)
         with self._fill_lock:
             if self._buf is None:
@@ -229,7 +230,7 @@ class _PrefixCodes:
             if s > self._filled:
                 new_rows = self._order[self._filled:s]
                 self._buf[self._filled:s] = self._binner.codes_from_base(
-                    self._plane._base_codes_rows(new_rows)
+                    plane._base_codes_rows(new_rows)
                 )
                 self._filled = s
             view = self._buf[:s]
@@ -279,7 +280,10 @@ class BinnedDataset:
 
     def __init__(self, data: Dataset, max_binned: int = 64,
                  max_transforms: int = 192, max_splits: int = 64) -> None:
-        self.data = data
+        # held weakly: plane_for parks the plane on the dataset, and a
+        # strong back-reference would keep every fit's data and caches
+        # alive in a cycle until a full GC pass
+        self._data_ref = weakref.ref(data)
         self._lock = threading.Lock()
         self._splits = _LRU(max_splits)
         # (rows_key, max_bins) -> (codes, n_bins, binner)
@@ -298,6 +302,14 @@ class BinnedDataset:
         self._prefix: OrderedDict = OrderedDict()
 
     # ------------------------------------------------------------------
+    @property
+    def data(self) -> Dataset:
+        """The dataset this plane serves (the caller keeps it alive)."""
+        data = self._data_ref()
+        if data is None:
+            raise ReferenceError("the plane's dataset has been freed")
+        return data
+
     @property
     def exact(self) -> bool:
         """Whether pre-binning here is bit-for-bit equal to in-learner
@@ -631,7 +643,7 @@ class BinnedDataset:
                 self._prefix.move_to_end(pkey)
         if pc is None:
             order, _ = self.holdout_split(rows_key[1], rows_key[2])
-            fresh = _PrefixCodes(self, order, binner)
+            fresh = _PrefixCodes(order, binner)
             with self._lock:
                 pc = self._prefix.setdefault(pkey, fresh)
                 self._prefix.move_to_end(pkey)
@@ -641,7 +653,7 @@ class BinnedDataset:
             _m_codes_hit.inc()
         else:
             _m_codes_miss.inc()
-        return pc.codes(s)
+        return pc.codes(s, self)
 
 
 # ----------------------------------------------------------------------
@@ -749,17 +761,19 @@ def plane_for(data: Dataset) -> BinnedDataset:
 
     Storing the plane as an attribute of the :class:`Dataset` ties its
     lifetime (and the up-to-hundreds-of-MB of cached codes it may hold)
-    exactly to the data: when the caller drops the dataset, the plane
-    goes with it — no module-global registry pinning old datasets
-    alive.  A row-sample CRC is revalidated per lookup so in-place
-    mutation of the arrays rebuilds the plane rather than serving stale
-    codes and splits.
+    exactly to the data: the plane refers back to the dataset only
+    weakly, so when the caller drops the dataset, reference counting
+    frees both at once — no module-global registry pinning old datasets
+    alive, and no cycle waiting for the garbage collector.  A
+    row-sample CRC is revalidated per lookup so in-place mutation of
+    the arrays rebuilds the plane rather than serving stale codes and
+    splits.
     """
     token = _quick_content_token(data)
     plane = getattr(data, "_binned_plane", None)
     if (
         plane is not None
-        and plane.data is data
+        and plane._data_ref() is data
         and plane._content_token == token
     ):
         return plane
@@ -767,7 +781,7 @@ def plane_for(data: Dataset) -> BinnedDataset:
         plane = getattr(data, "_binned_plane", None)
         if (
             plane is not None
-            and plane.data is data
+            and plane._data_ref() is data
             and plane._content_token == token
         ):
             return plane

@@ -14,19 +14,17 @@ Two growers share the same array-backed :class:`Tree` structure:
 Split finding is vectorised: per (node, feature) histograms are built with
 ``np.bincount`` and all candidate thresholds are scored at once — or, when
 the native kernels are enabled (:mod:`repro.native`), by the compiled
-bitwise-identical equivalents.  A grower binds its kernels object once at
-construction; per-node code never re-dispatches.
+bitwise-identical equivalents, which grow a whole gradient tree in one
+call.  A grower binds its kernels object once at construction; per-node
+code never re-dispatches.
 """
 
 from __future__ import annotations
-
-import heapq
 
 import numpy as np
 
 from ..native import active_kernels
 from ..native.fallback import _EPS  # the kernels' gain tie-break epsilon
-from ..native.fallback import soft_threshold as _soft_threshold
 
 __all__ = ["Tree", "FlatEnsemble", "GradTreeGrower", "ClassTreeGrower"]
 
@@ -53,6 +51,22 @@ class Tree:
         self.n_values = n_values
 
     # -- construction ---------------------------------------------------
+    @classmethod
+    def from_arrays(cls, feature, threshold, left, right, value) -> "Tree":
+        """A frozen scalar-payload tree from the node arrays a kernels
+        ``grow_tree`` returns (int32 feature/left/right, int64
+        threshold, float64 value)."""
+        tree = cls()
+        tree._feature, tree._threshold = feature, threshold
+        tree._left, tree._right = left, right
+        tree._value = value.reshape(-1, 1)
+        tree.feature = feature.tolist()
+        tree.threshold = threshold.tolist()
+        tree.left = left.tolist()
+        tree.right = right.tolist()
+        tree.value = list(tree._value)
+        return tree
+
     def add_node(self, value: np.ndarray) -> int:
         """Append a leaf and return its node id."""
         nid = len(self.feature)
@@ -285,113 +299,6 @@ class GradTreeGrower:
         self.kernels = kernels if kernels is not None else active_kernels()
 
     # ------------------------------------------------------------------
-    def _leaf_value(self, G: float, H: float) -> float:
-        # scalar soft-threshold in plain python: the ufunc chain of
-        # _soft_threshold costs ~7 numpy dispatches per leaf, and leaves
-        # are created once per node; plain float ops run the identical
-        # IEEE arithmetic (sign/abs/subtract/divide), bit for bit
-        a = abs(G) - self.reg_alpha
-        if a != a:  # NaN gradients must poison the leaf, as the ufunc
-            return -a / (H + self.reg_lambda)  # chain did (trial -> inf)
-        if a < 0.0:
-            a = 0.0
-        num = a if G > 0.0 else (-a if G < 0.0 else 0.0)
-        return -num / (H + self.reg_lambda)
-
-    def _score(self, G, H):
-        return _soft_threshold(G, self.reg_alpha) ** 2 / (H + self.reg_lambda)
-
-    def _build_hists(
-        self,
-        codes: np.ndarray,
-        g: np.ndarray,
-        h: np.ndarray,
-        idx: np.ndarray,
-        features: np.ndarray,
-        n_bins: np.ndarray,
-        nbmax: int,
-        need_cnt: bool,
-        all_features: bool = False,
-    ):
-        """(grad, hess, count) per-(feature, bin) histograms of one node.
-
-        ``g``/``h`` are already gathered to ``idx`` order; ``all_features``
-        says ``features`` is every column in order (enables the plain-row
-        gather).  The count histogram is only materialised when
-        ``min_samples_leaf`` needs it (``need_cnt``).
-
-        The result is **one** stacked array of shape ``(P, F, nbmax)``
-        with ``P = 3 if need_cnt else 2`` (grad, hess[, count] parts) —
-        every (part, feature, bin) bucket accumulates its rows in ``idx``
-        order, whichever kernel implementation runs (the numpy reference
-        in :mod:`repro.native.fallback` and the C extension are bitwise
-        identical).  The stacking lets the scorer run *one* cumulative
-        sum over every part and the sibling-subtraction trick derive a
-        whole node in one subtraction.
-        """
-        return self.kernels.build_hists(
-            codes, g, h, idx, features, n_bins, nbmax, need_cnt,
-            all_features=all_features,
-        )
-
-    def _best_split(
-        self,
-        codes: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        idx: np.ndarray,
-        features: np.ndarray,
-        n_bins: np.ndarray,
-        hists=None,
-        all_features: bool = False,
-        nbf: np.ndarray | None = None,
-        t_valid: np.ndarray | None = None,
-    ):
-        """Return (gain, feature, threshold, hists) for the best split.
-
-        Scores every (feature, threshold) pair; thresholds are bin codes,
-        split sends ``code <= t`` left (missing bin 0 always goes left).
-        ``hists`` lets :meth:`grow` hand in histograms it already holds
-        (the sibling-subtraction trick); the histograms actually used are
-        returned so the caller can derive the children's from them.
-        ``all_features``/``nbf`` (= ``n_bins[features]``)/``t_valid`` are
-        per-tree constants :meth:`grow` hoists out of this per-node call.
-
-        The histogram build and the scan run on the grower's bound
-        kernels (compiled or numpy — bitwise identical either way); the
-        extra-random mode hands the scan its RNG, which keeps that mode
-        on the numpy reference path.
-        """
-        g, h = grad[idx], hess[idx]
-        G, H = float(g.sum()), float(h.sum())
-        parent = self._score(G, H)
-        if self.colsample_bylevel < 1.0:
-            k = max(1, int(round(self.colsample_bylevel * features.size)))
-            features = self.rng.choice(features, size=k, replace=False)
-            all_features, nbf, t_valid = False, None, None
-        if nbf is None:
-            nbf = n_bins[features]
-        nbmax = int(nbf.max())
-        if nbmax < 2:
-            return 0.0, -1, -1, None
-        need_cnt = self.min_samples_leaf > 1
-        if hists is None:
-            hists = self._build_hists(
-                codes, g, h, idx, features, n_bins, nbmax, need_cnt,
-                all_features=all_features,
-            )
-        gain, j, t = self.kernels.best_split_scan(
-            hists, nbf, idx.size, G, H, parent,
-            self.min_child_weight, self.reg_alpha, self.reg_lambda,
-            self.min_samples_leaf,
-            rng=self.rng if self.extra_random else None,
-            t_valid=t_valid,
-        )
-        if j < 0 or gain <= _EPS:
-            return 0.0, -1, -1, hists
-        return gain, int(features[j]), int(t), hists
-
-    # ------------------------------------------------------------------
     def grow(
         self,
         codes: np.ndarray,
@@ -418,6 +325,9 @@ class GradTreeGrower:
         each grown row's leaf node id — callers that train on every row
         (boosting without subsampling) read predictions straight off it
         instead of re-walking the finished tree.
+
+        The node loop itself is the bound kernels' ``grow_tree``
+        (:func:`repro.native.fallback.grow_tree` is the reference).
         """
         n, d = codes.shape
         idx0 = np.arange(n) if sample_idx is None else np.asarray(sample_idx)
@@ -425,101 +335,20 @@ class GradTreeGrower:
         if self.colsample_bytree < 1.0:
             k = max(1, int(round(self.colsample_bytree * d)))
             features = np.sort(self.rng.choice(d, size=k, replace=False))
-
-        subtract = (
-            self.hist_subtraction
-            and self.colsample_bylevel >= 1.0
-            and not self.extra_random
-        )
-        nbmax = int(n_bins[features].max()) if features.size else 0
-        need_cnt = self.min_samples_leaf > 1
-        hist_bytes = 0  # histograms currently parked on pending nodes
-        # per-tree constants of the per-node split scoring
-        all_features = features.size == d
-        nbf = n_bins[features] if self.colsample_bylevel >= 1.0 else None
-        t_valid = (
-            np.arange(nbmax - 1) < (nbf - 1)[:, None]
-            if nbf is not None and nbmax >= 2
-            else None
-        )
-
-        tree = Tree()
-        root_val = self._leaf_value(float(grad[idx0].sum()), float(hess[idx0].sum()))
-        root = tree.add_node(root_val)
-        if out_leaf is not None:
-            out_leaf[idx0] = root
-        n_leaves = 1
-        counter = 0  # heap tie-breaker
-
-        def splittable(idx: np.ndarray, depth: int) -> bool:
-            if self.max_depth is not None and depth >= self.max_depth:
-                return False
-            return idx.size >= 2 * self.min_samples_leaf and idx.size >= 2
-
-        def try_split(nid: int, idx: np.ndarray, depth: int, hists=None):
-            nonlocal counter, hist_bytes
-            if not splittable(idx, depth):
-                return None
-            gain, f, t, hists = self._best_split(
-                codes, grad, hess, idx, features, n_bins, hists=hists,
-                all_features=all_features, nbf=nbf, t_valid=t_valid,
-            )
-            if f < 0 or gain <= self.min_gain:
-                return None
-            keep = None
-            if subtract and hists is not None:
-                if hist_bytes + hists.nbytes <= _HIST_CACHE_BYTES:
-                    keep, hist_bytes = hists, hist_bytes + hists.nbytes
-            counter += 1
-            return (-gain, counter, nid, idx, depth, f, t, keep)
-
-        heap: list = []
-        first = try_split(root, idx0, 0)
-        if first is not None:
-            heapq.heappush(heap, first)
-        while heap and n_leaves < self.max_leaves:
-            if self.leaf_wise:
-                _, _, nid, idx, depth, f, t, phists = heapq.heappop(heap)
-            else:
-                _, _, nid, idx, depth, f, t, phists = heap.pop(0)  # FIFO
-            if phists is not None:
-                hist_bytes -= phists.nbytes
-            goleft = codes[idx, f] <= t
-            li, ri = idx[goleft], idx[~goleft]
-            lval = self._leaf_value(float(grad[li].sum()), float(hess[li].sum()))
-            rval = self._leaf_value(float(grad[ri].sum()), float(hess[ri].sum()))
-            lid, rid = tree.add_node(lval), tree.add_node(rval)
-            tree.set_split(nid, f, t, lid, rid)
-            if out_leaf is not None:
-                out_leaf[li] = lid
-                out_leaf[ri] = rid
-            n_leaves += 1
-            lh = rh = None
-            if phists is not None:
-                # bincount the smaller child only; the larger child's
-                # histograms are parent − sibling
-                small_is_left = li.size <= ri.size
-                small = li if small_is_left else ri
-                small_ok = splittable(small, depth + 1)
-                big_ok = splittable(ri if small_is_left else li, depth + 1)
-                if small_ok or big_ok:
-                    sh = self._build_hists(
-                        codes, grad[small], hess[small], small, features,
-                        n_bins, nbmax, need_cnt, all_features=all_features,
-                    )
-                    bh = phists - sh if big_ok else None
-                    lh, rh = (sh, bh) if small_is_left else (bh, sh)
-            for cid, cidx, chists in ((lid, li, lh), (rid, ri, rh)):
-                if n_leaves >= self.max_leaves:
-                    break
-                item = try_split(cid, cidx, depth + 1, hists=chists)
-                if item is not None:
-                    if self.leaf_wise:
-                        heapq.heappush(heap, item)
-                    else:
-                        heap.append(item)
-        tree.freeze()
-        return tree
+        return Tree.from_arrays(*self.kernels.grow_tree(
+            codes, grad, hess, n_bins, idx0, features,
+            max_leaves=self.max_leaves, max_depth=self.max_depth,
+            min_child_weight=self.min_child_weight,
+            reg_alpha=self.reg_alpha, reg_lambda=self.reg_lambda,
+            min_gain=self.min_gain, leaf_wise=self.leaf_wise,
+            colsample_bylevel=self.colsample_bylevel,
+            extra_random=self.extra_random,
+            min_samples_leaf=self.min_samples_leaf,
+            hist_subtraction=self.hist_subtraction,
+            # read at call time: tests shrink the cap to force scratch builds
+            hist_cache_bytes=_HIST_CACHE_BYTES,
+            rng=self.rng, out_leaf=out_leaf,
+        ))
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-/* Fused histogram / split-scan kernels for the tree growers.
+/* Fused histogram / split-scan / whole-tree kernels for the growers.
  *
  * Bitwise contract: every function reproduces the pure-numpy reference
  * in repro/native/fallback.py bit for bit, including IEEE corner cases.
@@ -10,16 +10,32 @@
  *  - np.cumsum is a sequential left-to-right accumulation;
  *  - np.ndarray.sum(axis=0) reduces sequentially over the axis,
  *    starting from +0.0 (so -0.0 terms behave like numpy's);
- *  - np.power(x, 2) takes numpy's fast path and equals x*x;
+ *  - np.ndarray.sum() of a whole (gathered, contiguous) vector is
+ *    numpy's *pairwise* sum: runs of at most 128 values use 8
+ *    accumulators combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)) plus
+ *    a sequential tail, runs under 8 values add sequentially from 0.,
+ *    and longer runs split at n/2 rounded down to a multiple of 8; the
+ *    total is then added to a +0.0 start (pairwise_sum below);
+ *  - np.power(x, 2) on arrays takes numpy's fast path and equals x*x,
+ *    but `np.float64 ** 2` on a *scalar* calls libm pow(), which for
+ *    some |x| > 1e50 differs from x*x in the last bit -- the grower's
+ *    per-node parent score is scalar arithmetic, so it uses pow();
  *  - np.argmax scans in row-major order, strictly-greater replaces,
  *    and the FIRST NaN wins and stops the scan;
+ *  - heapq orders the grower's (-gain, counter, ...) tuples by CPython
+ *    tuple comparison: the first unequal slot decides, and a NaN key
+ *    is unequal to everything and less than nothing -- grow_tree's heap
+ *    runs heapq's exact sift algorithm on that predicate, so even NaN
+ *    gains pop in the reference order;
  *  - elementwise arithmetic is replicated with the same association
  *    as the numpy expressions (noted per loop below).
  *
  * Compiled with -ffp-contract=off so no FMA contraction can change
  * intermediate roundings relative to numpy's scalar SSE2 arithmetic.
  * No numpy headers: arrays arrive as C-contiguous buffers (PyBUF_SIMPLE
- * fails loudly on anything non-contiguous).
+ * fails loudly on anything non-contiguous).  grow_tree runs its whole
+ * node loop with the GIL released; it allocates with malloc there and,
+ * on failure, raises MemoryError once the GIL is back.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -27,18 +43,57 @@
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 /* ------------------------------------------------------------------ */
-/* grad/hess[/count] histograms of one tree node.
- *
- * args: codes (y*), itemsize (i), d (n), idx int64 (y*), g float64 (y*),
- *       h float64 (y*), features int64 (y*), nbmax (n), need_cnt (i),
- *       out float64[P, F, nbmax] zeroed (w*)
+/* Accumulate grad/hess[/count] histograms of the rows ix[0..ni) into
+ * the zeroed out[P, F, nbmax].  by_row selects where row r's weights
+ * live: g[ix[r]] (full-length vectors) or g[r] (already gathered to ix
+ * order) -- the same doubles either way.
  *
  * Equivalent numpy: one flat np.bincount over disjoint
  * (part, feature, bin) key ranges -- each bucket accumulates the same
  * rows in the same order as this row-major loop.
  */
+#define HIST_LOOP(ctype)                                                  \
+    do {                                                                  \
+        const ctype *cp = (const ctype *)codes;                           \
+        for (r = 0; r < ni; r++) {                                        \
+            const Py_ssize_t i = by_row ? (Py_ssize_t)ix[r] : r;          \
+            const ctype *row = cp + (Py_ssize_t)ix[r] * d;                \
+            const double gv = g[i], hv = h[i];                            \
+            for (j = 0; j < F; j++) {                                     \
+                const Py_ssize_t o = j * nbmax + (Py_ssize_t)row[fp[j]];  \
+                og[o] += gv;                                              \
+                oh[o] += hv;                                              \
+                if (oc)                                                   \
+                    oc[o] += 1.0;                                         \
+            }                                                             \
+        }                                                                 \
+    } while (0)
+
+static void
+hist_accumulate(const void *codes, int itemsize, Py_ssize_t d,
+                const int64_t *ix, Py_ssize_t ni, const double *g,
+                const double *h, int by_row, const int64_t *fp,
+                Py_ssize_t F, Py_ssize_t nbmax, int need_cnt, double *og)
+{
+    double *oh = og + F * nbmax;
+    double *oc = need_cnt ? og + 2 * F * nbmax : NULL;
+    Py_ssize_t r, j;
+
+    if (itemsize == 1)
+        HIST_LOOP(uint8_t);
+    else
+        HIST_LOOP(uint16_t);
+}
+
+#undef HIST_LOOP
+
+/* args: codes (y*), itemsize (i), d (n), idx int64 (y*), g float64 (y*),
+ *       h float64 (y*), features int64 (y*), nbmax (n), need_cnt (i),
+ *       out float64[P, F, nbmax] zeroed (w*)
+ * g/h are gathered to idx order. */
 static PyObject *
 py_build_hists(PyObject *self, PyObject *args)
 {
@@ -50,48 +105,12 @@ py_build_hists(PyObject *self, PyObject *args)
                           &codes, &itemsize, &d, &idx, &g, &h, &feats,
                           &nbmax, &need_cnt, &out))
         return NULL;
-
-    {
-        const int64_t *idxp = (const int64_t *)idx.buf;
-        const double *gp = (const double *)g.buf;
-        const double *hp = (const double *)h.buf;
-        const int64_t *fp = (const int64_t *)feats.buf;
-        double *og = (double *)out.buf;
-        const Py_ssize_t ni = idx.len / (Py_ssize_t)sizeof(int64_t);
-        const Py_ssize_t F = feats.len / (Py_ssize_t)sizeof(int64_t);
-        double *oh = og + F * nbmax;
-        double *oc = need_cnt ? og + 2 * F * nbmax : NULL;
-        Py_ssize_t r, j;
-
-        if (itemsize == 1) {
-            const uint8_t *cp = (const uint8_t *)codes.buf;
-            for (r = 0; r < ni; r++) {
-                const uint8_t *row = cp + (Py_ssize_t)idxp[r] * d;
-                const double gv = gp[r], hv = hp[r];
-                for (j = 0; j < F; j++) {
-                    const Py_ssize_t o = j * nbmax + (Py_ssize_t)row[fp[j]];
-                    og[o] += gv;
-                    oh[o] += hv;
-                    if (oc)
-                        oc[o] += 1.0;
-                }
-            }
-        } else {
-            const uint16_t *cp = (const uint16_t *)codes.buf;
-            for (r = 0; r < ni; r++) {
-                const uint16_t *row = cp + (Py_ssize_t)idxp[r] * d;
-                const double gv = gp[r], hv = hp[r];
-                for (j = 0; j < F; j++) {
-                    const Py_ssize_t o = j * nbmax + (Py_ssize_t)row[fp[j]];
-                    og[o] += gv;
-                    oh[o] += hv;
-                    if (oc)
-                        oc[o] += 1.0;
-                }
-            }
-        }
-    }
-
+    hist_accumulate(codes.buf, itemsize, d, (const int64_t *)idx.buf,
+                    idx.len / (Py_ssize_t)sizeof(int64_t),
+                    (const double *)g.buf, (const double *)h.buf, 0,
+                    (const int64_t *)feats.buf,
+                    feats.len / (Py_ssize_t)sizeof(int64_t), nbmax,
+                    need_cnt, (double *)out.buf);
     PyBuffer_Release(&codes);
     PyBuffer_Release(&idx);
     PyBuffer_Release(&g);
@@ -101,33 +120,158 @@ py_build_hists(PyObject *self, PyObject *args)
     Py_RETURN_NONE;
 }
 
-/* soft_threshold(G, alpha)^2 / Hreg, replicating
- * np.sign(G) * np.maximum(np.abs(G) - alpha, 0.0) exactly:
+/* np.sign(G) * np.maximum(np.abs(G) - alpha, 0.0), exactly:
  * np.maximum propagates NaN; np.sign maps +-0.0 -> 0.0 and NaN -> NaN. */
 static inline double
-score_term(double G, double Hreg, double alpha)
+soft_threshold(double G, double alpha)
 {
     double a = fabs(G) - alpha;
     double mx = (a != a) ? a : (a > 0.0 ? a : 0.0);
     double sgn = (G > 0.0) ? 1.0 : ((G < 0.0) ? -1.0 : ((G == G) ? 0.0 : G));
-    double st = sgn * mx;
+    return sgn * mx;
+}
+
+/* soft_threshold(G, alpha)^2 / Hreg with the array-power square (x*x) */
+static inline double
+score_term(double G, double Hreg, double alpha)
+{
+    double st = soft_threshold(G, alpha);
     return (st * st) / Hreg;
 }
 
+/* the grower's scalar parent score: `np.float64 ** 2` is libm pow().
+ * The exponent is read through a volatile so the compiler cannot fold
+ * pow(x, 2.0) into x*x. */
+static volatile double pow_two = 2.0;
+
+static inline double
+parent_score(double G, double H, double alpha, double lam)
+{
+    return pow(soft_threshold(G, alpha), pow_two) / (H + lam);
+}
+
+/* numpy's pairwise sum of the gather v[ix[0..n)] (the rules above) */
+static double
+pairwise_sum(const double *v, const int64_t *ix, Py_ssize_t n)
+{
+    Py_ssize_t i;
+
+    if (n < 8) {
+        double res = 0.;
+        for (i = 0; i < n; i++)
+            res += v[ix[i]];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int k;
+        for (k = 0; k < 8; k++)
+            r[k] = v[ix[k]];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (k = 0; k < 8; k++)
+                r[k] += v[ix[i + k]];
+        res = ((r[0] + r[1]) + (r[2] + r[3]))
+              + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += v[ix[i]];
+        return res;
+    }
+    {
+        Py_ssize_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise_sum(v, ix, n2) + pairwise_sum(v, ix + n2, n - n2);
+    }
+}
+
 /* ------------------------------------------------------------------ */
-/* best (gain, feature, threshold) over the cumulative histograms of
- * one node.
- *
- * args: hists float64[P, F, nbmax] (y*), P (i), F (n), nbmax (n),
- *       n_bins_f int64[F] (y*), G (d), H (d), parent (d),
- *       min_child_weight (d), reg_alpha (d), reg_lambda (d),
- *       min_samples_leaf (n), n_idx (n)
- * returns (best_gain, j, t) -- j indexes into the candidate features.
+/* best (gain, feature, threshold) over the histograms of one node;
+ * j indexes into the candidate features, j = -1 means no valid split.
  *
  * Numpy reference: cumsum -> validity masks -> gains assembled as
  * ((score(GL,HL) + score(GR,HR)) - parent) * 0.5 -> where(valid, g,
  * -inf) -> flat argmax (first-NaN-wins).
  */
+typedef struct {
+    double gain;
+    Py_ssize_t j, t;
+} split_t;
+
+static split_t
+scan_split(const double *hg, int P, Py_ssize_t F, Py_ssize_t nbmax,
+           const int64_t *nb, double G, double H, double parent,
+           double mcw, double alpha, double lam, Py_ssize_t msl,
+           Py_ssize_t n_idx)
+{
+    const split_t none = {0.0, -1, -1};
+    const double *hh = hg + F * nbmax;
+    const double *hc = (P == 3) ? hg + 2 * F * nbmax : NULL;
+    const Py_ssize_t T = nbmax - 1;
+    split_t best = {0.0, 0, 0};
+    Py_ssize_t bi = 0, j, t;
+    int started = 0, any_valid = 0;
+
+    if (T <= 0)
+        return none;
+    for (j = 0; j < F; j++) {
+        const double *rg = hg + j * nbmax;
+        const double *rh = hh + j * nbmax;
+        const double *rc = hc ? hc + j * nbmax : NULL;
+        const Py_ssize_t tmax = (Py_ssize_t)nb[j] - 1;
+        double gl = 0.0, hl = 0.0, cl = 0.0;
+
+        for (t = 0; t < T; t++) {
+            double hr, v;
+            int valid;
+
+            gl += rg[t];
+            hl += rh[t];
+            if (rc)
+                cl += rc[t];
+            hr = H - hl;
+            valid = (hl >= mcw) && (hr >= mcw) && (t < tmax);
+            if (rc)
+                valid = valid && (cl >= (double)msl)
+                        && ((double)n_idx - cl >= (double)msl);
+            if (valid) {
+                /* same association as gains = score(GL,HL);
+                 * gains += score(GR,HR); gains -= parent;
+                 * gains *= 0.5 */
+                double gr = G - gl;
+                double sl = score_term(gl, hl + lam, alpha);
+                double sr = score_term(gr, hr + lam, alpha);
+                v = ((sl + sr) - parent) * 0.5;
+                any_valid = 1;
+            } else {
+                v = -INFINITY;
+            }
+            /* np.argmax over the flat row-major (F, T) array */
+            if (!started) {
+                best.gain = v;
+                bi = 0;
+                started = 1;
+                if (isnan(v))
+                    goto done;
+            } else if (v > best.gain || isnan(v)) {
+                best.gain = v;
+                bi = j * T + t;
+                if (isnan(v))
+                    goto done;
+            }
+        }
+    }
+done:
+    if (!any_valid) /* the reference's `not valid.any()` early exit */
+        return none;
+    best.j = bi / T;
+    best.t = bi % T;
+    return best;
+}
+
+/* args: hists float64[P, F, nbmax] (y*), P (i), F (n), nbmax (n),
+ *       n_bins_f int64[F] (y*), G (d), H (d), parent (d),
+ *       min_child_weight (d), reg_alpha (d), reg_lambda (d),
+ *       min_samples_leaf (n), n_idx (n)
+ * returns (best_gain, j, t). */
 static PyObject *
 py_best_split_scan(PyObject *self, PyObject *args)
 {
@@ -135,82 +279,550 @@ py_best_split_scan(PyObject *self, PyObject *args)
     int P;
     Py_ssize_t F, nbmax, msl, n_idx;
     double G, H, parent, mcw, alpha, lam;
+    split_t s;
 
     if (!PyArg_ParseTuple(args, "y*inny*ddddddnn",
                           &hists, &P, &F, &nbmax, &nbf, &G, &H, &parent,
                           &mcw, &alpha, &lam, &msl, &n_idx))
         return NULL;
+    s = scan_split((const double *)hists.buf, P, F, nbmax,
+                   (const int64_t *)nbf.buf, G, H, parent, mcw, alpha, lam,
+                   msl, n_idx);
+    PyBuffer_Release(&hists);
+    PyBuffer_Release(&nbf);
+    return Py_BuildValue("dnn", s.gain, s.j, s.t);
+}
 
-    {
-        const double *hg = (const double *)hists.buf;
-        const double *hh = hg + F * nbmax;
-        const double *hc = (P == 3) ? hg + 2 * F * nbmax : NULL;
-        const int64_t *nb = (const int64_t *)nbf.buf;
-        const Py_ssize_t T = nbmax - 1;
-        double best = 0.0;
-        Py_ssize_t bi = 0;
-        int started = 0, any_valid = 0;
-        Py_ssize_t j, t;
+/* ------------------------------------------------------------------ */
+/* One whole gradient tree: fallback.grow_tree's node loop, in C.
+ *
+ * Every node owns a contiguous segment [lo, hi) of one row buffer (a
+ * copy of the sample indices); a split partitions its segment stably
+ * in place, so children keep their parent's row order -- the order of
+ * numpy's idx[goleft] / idx[~goleft].  Each node's G and H are summed
+ * once (pairwise, as ndarray.sum) and reused for its leaf value, its
+ * parent score and its scan.  Pending splits wait in a heap (leaf-wise)
+ * or a FIFO (depth-wise) together with their histograms, parked for
+ * the sibling-subtraction trick while the parked total stays within
+ * the caller's byte cap.
+ */
+typedef struct {
+    double key;      /* -gain */
+    int64_t cnt;     /* push counter, the tuple's tie-breaker */
+    Py_ssize_t nid, depth, f;
+    int64_t t;
+    double *hist;    /* parked histograms, or NULL */
+} item_t;
 
-        if (T <= 0) {
-            PyBuffer_Release(&hists);
-            PyBuffer_Release(&nbf);
-            return Py_BuildValue("dnn", 0.0, (Py_ssize_t)-1, (Py_ssize_t)-1);
+/* CPython tuple `<` on (-gain, counter): the first unequal slot
+ * decides, and NaN == NaN is false, so NaN keys compare false both ways */
+static inline int
+item_lt(const item_t *a, const item_t *b)
+{
+    if (a->key == b->key)
+        return a->cnt < b->cnt;
+    return a->key < b->key;
+}
+
+/* heapq's _siftdown / _siftup, verbatim in structure */
+static void
+heap_siftdown(item_t *heap, Py_ssize_t start, Py_ssize_t pos)
+{
+    item_t newitem = heap[pos];
+    while (pos > start) {
+        Py_ssize_t parentpos = (pos - 1) >> 1;
+        if (!item_lt(&newitem, &heap[parentpos]))
+            break;
+        heap[pos] = heap[parentpos];
+        pos = parentpos;
+    }
+    heap[pos] = newitem;
+}
+
+static void
+heap_siftup(item_t *heap, Py_ssize_t end, Py_ssize_t pos)
+{
+    const Py_ssize_t start = pos, limit = end >> 1;
+    while (pos < limit) {
+        Py_ssize_t child = 2 * pos + 1;
+        item_t tmp;
+        if (child + 1 < end && !item_lt(&heap[child], &heap[child + 1]))
+            child += 1;
+        tmp = heap[child];
+        heap[child] = heap[pos];
+        heap[pos] = tmp;
+        pos = child;
+    }
+    heap_siftdown(heap, start, pos);
+}
+
+enum { GROW_OK = 0, GROW_NOMEM, GROW_BAD_INDEX, GROW_ZERO_DIV };
+
+typedef struct {
+    /* inputs */
+    const void *codes;
+    int itemsize;
+    Py_ssize_t d, n_rows, m;
+    const int64_t *idx0, *feats, *nbf;
+    const double *grad, *hess;
+    Py_ssize_t F, nbmax, max_leaves, max_depth, msl, cache_bytes;
+    double mcw, alpha, lam, min_gain, eps;
+    int leaf_wise, subtract;
+    int32_t *out_leaf;
+    /* outputs: node arrays */
+    Py_ssize_t n_nodes, cap;
+    int32_t *feature, *left, *right;
+    int64_t *threshold;
+    double *value;
+    Py_ssize_t *lo, *hi;
+    /* scratch */
+    int64_t *ix, *tmp;
+    item_t *queue;
+    Py_ssize_t q_head, q_size, q_cap;
+    int64_t counter;
+    Py_ssize_t hist_len, hist_bytes;
+    double *spare;
+    int err;
+} grow_t;
+
+/* the reference's plain-float leaf value -soft_threshold(G) / (H + lam):
+ * a NaN |G| - alpha poisons the leaf with its own sign flipped, and a
+ * zero divisor is Python's ZeroDivisionError (flagged, value unused) */
+static double
+leaf_value(grow_t *s, double G, double H)
+{
+    const double den = H + s->lam;
+    double a = fabs(G) - s->alpha;
+    double num;
+    if (den == 0.0) {
+        s->err = GROW_ZERO_DIV;
+        return 0.0;
+    }
+    if (a != a)
+        return -a / den;
+    if (a < 0.0)
+        a = 0.0;
+    num = (G > 0.0) ? a : ((G < 0.0) ? -a : 0.0);
+    return -num / den;
+}
+
+static double *
+hist_new(grow_t *s)
+{
+    double *b = s->spare;
+    if (b) {
+        s->spare = NULL;
+        memset(b, 0, (size_t)s->hist_len * sizeof(double));
+        return b;
+    }
+    b = (double *)calloc((size_t)s->hist_len, sizeof(double));
+    if (!b)
+        s->err = GROW_NOMEM;
+    return b;
+}
+
+static void
+hist_release(grow_t *s, double *b)
+{
+    if (!b)
+        return;
+    if (!s->spare)
+        s->spare = b;
+    else
+        free(b);
+}
+
+static void *
+grow_array(void *p, Py_ssize_t n, size_t size, grow_t *s)
+{
+    void *q = realloc(p, (size_t)n * size);
+    if (!q)
+        s->err = GROW_NOMEM;
+    return q;
+}
+
+static Py_ssize_t
+add_node(grow_t *s, double value, Py_ssize_t lo, Py_ssize_t hi)
+{
+    Py_ssize_t nid = s->n_nodes;
+    if (nid == s->cap) {
+        Py_ssize_t cap = s->cap ? 2 * s->cap : 64;
+        void *p;
+#define GROW(field, type)                                                  \
+        if (!(p = grow_array(s->field, cap, sizeof(type), s)))             \
+            return -1;                                                    \
+        s->field = (type *)p;
+        GROW(feature, int32_t)
+        GROW(left, int32_t)
+        GROW(right, int32_t)
+        GROW(threshold, int64_t)
+        GROW(value, double)
+        GROW(lo, Py_ssize_t)
+        GROW(hi, Py_ssize_t)
+#undef GROW
+        s->cap = cap;
+    }
+    s->feature[nid] = -1;
+    s->threshold[nid] = 0;
+    s->left[nid] = -1;
+    s->right[nid] = -1;
+    s->value[nid] = value;
+    s->lo[nid] = lo;
+    s->hi[nid] = hi;
+    s->n_nodes = nid + 1;
+    return nid;
+}
+
+static int
+splittable(const grow_t *s, Py_ssize_t size, Py_ssize_t depth)
+{
+    if (s->max_depth >= 0 && depth >= s->max_depth)
+        return 0;
+    return size >= 2 * s->msl && size >= 2;
+}
+
+static int
+queue_push(grow_t *s, const item_t *item)
+{
+    if (s->q_head + s->q_size == s->q_cap) {
+        if (s->q_head > 0) { /* FIFO: reclaim the popped prefix */
+            memmove(s->queue, s->queue + s->q_head,
+                    (size_t)s->q_size * sizeof(item_t));
+            s->q_head = 0;
+        } else {
+            Py_ssize_t cap = s->q_cap ? 2 * s->q_cap : 64;
+            void *p = grow_array(s->queue, cap, sizeof(item_t), s);
+            if (!p)
+                return -1;
+            s->queue = (item_t *)p;
+            s->q_cap = cap;
         }
-        for (j = 0; j < F; j++) {
-            const double *rg = hg + j * nbmax;
-            const double *rh = hh + j * nbmax;
-            const double *rc = hc ? hc + j * nbmax : NULL;
-            const Py_ssize_t tmax = (Py_ssize_t)nb[j] - 1;
-            double gl = 0.0, hl = 0.0, cl = 0.0;
+    }
+    s->queue[s->q_head + s->q_size] = *item;
+    s->q_size++;
+    if (s->leaf_wise)
+        heap_siftdown(s->queue, 0, s->q_size - 1);
+    return 0;
+}
 
-            for (t = 0; t < T; t++) {
-                double hr, v;
-                int valid;
+static item_t
+queue_pop(grow_t *s)
+{
+    item_t out;
+    if (!s->leaf_wise) { /* FIFO */
+        out = s->queue[s->q_head++];
+        s->q_size--;
+        return out;
+    }
+    /* heapq.heappop */
+    out = s->queue[--s->q_size];
+    if (s->q_size > 0) {
+        item_t ret = s->queue[0];
+        s->queue[0] = out;
+        heap_siftup(s->queue, s->q_size, 0);
+        out = ret;
+    }
+    return out;
+}
 
-                gl += rg[t];
-                hl += rh[t];
-                if (rc)
-                    cl += rc[t];
-                hr = H - hl;
-                valid = (hl >= mcw) && (hr >= mcw) && (t < tmax);
-                if (rc)
-                    valid = valid && (cl >= (double)msl)
-                            && ((double)n_idx - cl >= (double)msl);
-                if (valid) {
-                    /* same association as gains = score(GL,HL);
-                     * gains += score(GR,HR); gains -= parent;
-                     * gains *= 0.5 */
-                    double gr = G - gl;
-                    double sl = score_term(gl, hl + lam, alpha);
-                    double sr = score_term(gr, hr + lam, alpha);
-                    v = ((sl + sr) - parent) * 0.5;
-                    any_valid = 1;
-                } else {
-                    v = -INFINITY;
+/* the reference's try_split: score node nid and queue it if it splits.
+ * Takes ownership of hist (the node's histograms, or NULL to build). */
+static int
+try_split(grow_t *s, Py_ssize_t nid, Py_ssize_t depth, double G, double H,
+          double *hist)
+{
+    const Py_ssize_t lo = s->lo[nid], size = s->hi[nid] - lo;
+    const int P = s->msl > 1 ? 3 : 2;
+    double parent;
+    split_t best;
+    item_t item;
+
+    if (!splittable(s, size, depth) || s->nbmax < 2) {
+        hist_release(s, hist);
+        return 0;
+    }
+    parent = parent_score(G, H, s->alpha, s->lam);
+    if (!hist) {
+        if (!(hist = hist_new(s)))
+            return -1;
+        hist_accumulate(s->codes, s->itemsize, s->d, s->ix + lo, size,
+                        s->grad, s->hess, 1, s->feats, s->F, s->nbmax,
+                        P == 3, hist);
+    }
+    best = scan_split(hist, P, s->F, s->nbmax, s->nbf, G, H, parent,
+                      s->mcw, s->alpha, s->lam, s->msl, size);
+    if (best.j < 0 || best.gain <= s->eps || best.gain <= s->min_gain) {
+        hist_release(s, hist);
+        return 0;
+    }
+    item.key = -best.gain;
+    item.cnt = ++s->counter;
+    item.nid = nid;
+    item.depth = depth;
+    item.f = (Py_ssize_t)s->feats[best.j];
+    item.t = (int64_t)best.t;
+    item.hist = NULL;
+    if (s->subtract) {
+        const Py_ssize_t nbytes = s->hist_len * (Py_ssize_t)sizeof(double);
+        if (s->hist_bytes + nbytes <= s->cache_bytes) {
+            item.hist = hist;
+            hist = NULL;
+            s->hist_bytes += nbytes;
+        }
+    }
+    hist_release(s, hist);
+    if (queue_push(s, &item) < 0) {
+        hist_release(s, item.hist);
+        return -1;
+    }
+    return 0;
+}
+
+/* stable in-place partition of ix[0..n) by codes[row, f] <= t; returns
+ * the left count (left rows first, both sides in their old order) */
+#define PARTITION_LOOP(ctype)                                             \
+    do {                                                                  \
+        const ctype *cp = (const ctype *)s->codes;                        \
+        for (k = 0; k < n; k++) {                                         \
+            const int64_t r = ix[k];                                      \
+            if ((int64_t)cp[(Py_ssize_t)r * s->d + f] <= t)               \
+                ix[nl++] = r;                                             \
+            else                                                          \
+                tmp[nr++] = r;                                            \
+        }                                                                 \
+    } while (0)
+
+static Py_ssize_t
+partition_rows(grow_t *s, int64_t *ix, Py_ssize_t n, Py_ssize_t f,
+               int64_t t)
+{
+    int64_t *tmp = s->tmp;
+    Py_ssize_t nl = 0, nr = 0, k;
+    if (s->itemsize == 1)
+        PARTITION_LOOP(uint8_t);
+    else
+        PARTITION_LOOP(uint16_t);
+    memcpy(ix + nl, tmp, (size_t)nr * sizeof(int64_t));
+    return nl;
+}
+
+#undef PARTITION_LOOP
+
+static void
+grow_core(grow_t *s)
+{
+    const Py_ssize_t hist_nbytes = s->hist_len * (Py_ssize_t)sizeof(double);
+    Py_ssize_t k, n_leaves = 1;
+    double G0, H0, lval, rval;
+
+    s->ix = (int64_t *)malloc((size_t)(s->m ? s->m : 1) * sizeof(int64_t));
+    s->tmp = (int64_t *)malloc((size_t)(s->m ? s->m : 1) * sizeof(int64_t));
+    if (!s->ix || !s->tmp) {
+        s->err = GROW_NOMEM;
+        return;
+    }
+    for (k = 0; k < s->m; k++) { /* numpy fancy-index semantics */
+        int64_t r = s->idx0[k];
+        if (r < 0)
+            r += s->n_rows;
+        if (r < 0 || r >= s->n_rows) {
+            s->err = GROW_BAD_INDEX;
+            return;
+        }
+        s->ix[k] = r;
+    }
+    G0 = 0.0 + pairwise_sum(s->grad, s->ix, s->m);
+    H0 = 0.0 + pairwise_sum(s->hess, s->ix, s->m);
+    lval = leaf_value(s, G0, H0);
+    if (s->err || add_node(s, lval, 0, s->m) < 0)
+        return;
+    if (try_split(s, 0, 0, G0, H0, NULL) < 0)
+        return;
+
+    while (s->q_size > 0 && n_leaves < s->max_leaves) {
+        const item_t it = queue_pop(s);
+        const Py_ssize_t lo = s->lo[it.nid], hi = s->hi[it.nid];
+        Py_ssize_t nl, nr, lid, rid, c;
+        double GL, HL, GR, HR;
+        double *lh = NULL, *rh = NULL;
+
+        if (it.hist)
+            s->hist_bytes -= hist_nbytes;
+        nl = partition_rows(s, s->ix + lo, hi - lo, it.f, it.t);
+        nr = hi - lo - nl;
+        GL = 0.0 + pairwise_sum(s->grad, s->ix + lo, nl);
+        HL = 0.0 + pairwise_sum(s->hess, s->ix + lo, nl);
+        GR = 0.0 + pairwise_sum(s->grad, s->ix + lo + nl, nr);
+        HR = 0.0 + pairwise_sum(s->hess, s->ix + lo + nl, nr);
+        lval = leaf_value(s, GL, HL);
+        rval = s->err ? 0.0 : leaf_value(s, GR, HR);
+        lid = s->err ? -1 : add_node(s, lval, lo, lo + nl);
+        rid = lid < 0 ? -1 : add_node(s, rval, lo + nl, hi);
+        if (rid < 0) {
+            hist_release(s, it.hist);
+            return;
+        }
+        s->feature[it.nid] = (int32_t)it.f;
+        s->threshold[it.nid] = it.t;
+        s->left[it.nid] = (int32_t)lid;
+        s->right[it.nid] = (int32_t)rid;
+        n_leaves++;
+        if (it.hist) {
+            /* build the smaller child's histograms only; the larger
+             * child's are parent - sibling, computed in the parent's
+             * buffer (elementwise, as numpy's phists - sh) */
+            const int small_is_left = nl <= nr;
+            const Py_ssize_t ns = small_is_left ? nl : nr;
+            const Py_ssize_t s_lo = small_is_left ? lo : lo + nl;
+            const int small_ok = splittable(s, ns, it.depth + 1);
+            const int big_ok = splittable(s, small_is_left ? nr : nl,
+                                          it.depth + 1);
+            double *sh = NULL, *bh = NULL;
+            if (small_ok || big_ok) {
+                if (!(sh = hist_new(s))) {
+                    hist_release(s, it.hist);
+                    return;
                 }
-                /* np.argmax over the flat row-major (F, T) array */
-                if (!started) {
-                    best = v;
-                    bi = 0;
-                    started = 1;
-                    if (isnan(v))
-                        goto done;
-                } else if (v > best || isnan(v)) {
-                    best = v;
-                    bi = j * T + t;
-                    if (isnan(v))
-                        goto done;
+                hist_accumulate(s->codes, s->itemsize, s->d, s->ix + s_lo,
+                                ns, s->grad, s->hess, 1, s->feats, s->F,
+                                s->nbmax, s->msl > 1, sh);
+                if (big_ok) {
+                    bh = it.hist;
+                    for (k = 0; k < s->hist_len; k++)
+                        bh[k] = bh[k] - sh[k];
                 }
             }
+            if (!bh)
+                hist_release(s, it.hist);
+            lh = small_is_left ? sh : bh;
+            rh = small_is_left ? bh : sh;
         }
-done:
-        PyBuffer_Release(&hists);
-        PyBuffer_Release(&nbf);
-        if (!any_valid) /* the reference's `not valid.any()` early exit */
-            return Py_BuildValue("dnn", 0.0, (Py_ssize_t)-1, (Py_ssize_t)-1);
-        return Py_BuildValue("dnn", best, bi / T, bi % T);
+        for (c = 0; c < 2; c++) {
+            if (n_leaves >= s->max_leaves) {
+                if (c == 0)
+                    hist_release(s, lh);
+                hist_release(s, rh);
+                break;
+            }
+            if (c == 0 ? try_split(s, lid, it.depth + 1, GL, HL, lh)
+                       : try_split(s, rid, it.depth + 1, GR, HR, rh)) {
+                if (c == 0)
+                    hist_release(s, rh);
+                return;
+            }
+        }
     }
+
+    if (s->out_leaf) /* every row's final leaf, as the reference's writes */
+        for (k = 0; k < s->n_nodes; k++)
+            if (s->feature[k] < 0) {
+                Py_ssize_t r;
+                for (r = s->lo[k]; r < s->hi[k]; r++)
+                    s->out_leaf[s->ix[r]] = (int32_t)k;
+            }
+}
+
+static PyObject *
+bytes_of(const void *p, Py_ssize_t n, size_t size)
+{
+    return PyByteArray_FromStringAndSize((const char *)p,
+                                         n * (Py_ssize_t)size);
+}
+
+/* args: codes (y*), itemsize (i), d (n), n_rows (n), idx0 int64 (y*),
+ *       grad float64[n_rows] (y*), hess float64[n_rows] (y*),
+ *       features int64[F] (y*), n_bins_f int64[F] (y*), max_leaves (n),
+ *       max_depth (n, -1 = none), min_child_weight (d), reg_alpha (d),
+ *       reg_lambda (d), min_gain (d), eps (d), leaf_wise (i),
+ *       min_samples_leaf (n), subtract (i), hist_cache_bytes (n),
+ *       out_leaf int32[n_rows] (w*), has_out_leaf (i)
+ * returns bytearrays (feature int32, threshold int64, left int32,
+ *       right int32, value float64) of the grown tree's nodes.
+ */
+static PyObject *
+py_grow_tree(PyObject *self, PyObject *args)
+{
+    Py_buffer codes, idx0, grad, hess, feats, nbf, out_leaf;
+    grow_t s;
+    int has_out;
+    Py_ssize_t k;
+    PyObject *result = NULL;
+
+    memset(&s, 0, sizeof(s));
+    if (!PyArg_ParseTuple(args, "y*inny*y*y*y*y*nndddddininw*i",
+                          &codes, &s.itemsize, &s.d, &s.n_rows, &idx0,
+                          &grad, &hess, &feats, &nbf, &s.max_leaves,
+                          &s.max_depth, &s.mcw, &s.alpha, &s.lam,
+                          &s.min_gain, &s.eps, &s.leaf_wise, &s.msl,
+                          &s.subtract, &s.cache_bytes, &out_leaf, &has_out))
+        return NULL;
+    s.codes = codes.buf;
+    s.idx0 = (const int64_t *)idx0.buf;
+    s.m = idx0.len / (Py_ssize_t)sizeof(int64_t);
+    s.grad = (const double *)grad.buf;
+    s.hess = (const double *)hess.buf;
+    s.feats = (const int64_t *)feats.buf;
+    s.nbf = (const int64_t *)nbf.buf;
+    s.F = feats.len / (Py_ssize_t)sizeof(int64_t);
+    s.out_leaf = has_out ? (int32_t *)out_leaf.buf : NULL;
+    for (k = 0; k < s.F; k++) {
+        if (s.feats[k] < 0 || s.feats[k] >= s.d) {
+            PyErr_SetString(PyExc_IndexError, "feature index out of range");
+            goto release;
+        }
+        if (s.nbf[k] > s.nbmax)
+            s.nbmax = (Py_ssize_t)s.nbf[k];
+    }
+    if (codes.len != s.n_rows * s.d * s.itemsize
+        || grad.len != s.n_rows * (Py_ssize_t)sizeof(double)
+        || hess.len != s.n_rows * (Py_ssize_t)sizeof(double)
+        || (has_out && out_leaf.len != s.n_rows * (Py_ssize_t)sizeof(int32_t))) {
+        PyErr_SetString(PyExc_ValueError,
+                        "codes/grad/hess/out_leaf disagree on the row count");
+        goto release;
+    }
+    s.hist_len = (s.msl > 1 ? 3 : 2) * s.F * s.nbmax;
+
+    Py_BEGIN_ALLOW_THREADS
+    grow_core(&s);
+    Py_END_ALLOW_THREADS
+
+    if (s.err == GROW_NOMEM)
+        PyErr_NoMemory();
+    else if (s.err == GROW_BAD_INDEX)
+        PyErr_SetString(PyExc_IndexError, "sample index out of range");
+    else if (s.err == GROW_ZERO_DIV)
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+    else
+        result = Py_BuildValue(
+            "(NNNNN)", bytes_of(s.feature, s.n_nodes, sizeof(int32_t)),
+            bytes_of(s.threshold, s.n_nodes, sizeof(int64_t)),
+            bytes_of(s.left, s.n_nodes, sizeof(int32_t)),
+            bytes_of(s.right, s.n_nodes, sizeof(int32_t)),
+            bytes_of(s.value, s.n_nodes, sizeof(double)));
+
+    for (k = s.q_head; k < s.q_head + s.q_size; k++)
+        free(s.queue[k].hist);
+    free(s.queue);
+    free(s.spare);
+    free(s.ix);
+    free(s.tmp);
+    free(s.feature);
+    free(s.threshold);
+    free(s.left);
+    free(s.right);
+    free(s.value);
+    free(s.lo);
+    free(s.hi);
+release:
+    PyBuffer_Release(&codes);
+    PyBuffer_Release(&idx0);
+    PyBuffer_Release(&grad);
+    PyBuffer_Release(&hess);
+    PyBuffer_Release(&feats);
+    PyBuffer_Release(&nbf);
+    PyBuffer_Release(&out_leaf);
+    return result;
 }
 
 /* ------------------------------------------------------------------ */
@@ -630,6 +1242,8 @@ py_oblivious_predict(PyObject *self, PyObject *args)
 
 /* ------------------------------------------------------------------ */
 static PyMethodDef kernel_methods[] = {
+    {"grow_tree", py_grow_tree, METH_VARARGS,
+     "Grow one whole gradient tree (GIL released)."},
     {"build_hists", py_build_hists, METH_VARARGS,
      "Accumulate (grad, hess[, count]) node histograms in row order."},
     {"best_split_scan", py_best_split_scan, METH_VARARGS,

@@ -1,15 +1,20 @@
 """Thin Python wrappers giving the C extension the fallback's API.
 
 :class:`NativeKernels` exposes exactly the surface of
-:mod:`repro.native.fallback` — ``build_hists``, ``build_class_hists``,
-``best_split_scan``, ``ObliviousLevelScorer`` and the traversal pair
-``ensemble_predict``/``oblivious_predict`` — so growers and engines
-hold one "kernels" object and never branch per node.  The wrappers only normalise dtypes/contiguity
-(no-ops on the growers' own arrays) and allocate outputs; all arithmetic
-lives in ``_kernels.c`` and is bitwise-equal to the fallback.
+:mod:`repro.native.fallback` — ``grow_tree``, ``build_hists``,
+``build_class_hists``, ``best_split_scan``, ``ObliviousLevelScorer`` and
+the traversal pair ``ensemble_predict``/``oblivious_predict`` — so
+growers and engines hold one "kernels" object and never branch per
+node.  The wrappers only normalise dtypes/contiguity (no-ops on the
+growers' own arrays), allocate outputs and route inputs the C loops
+cannot read (wide or non-C-contiguous codes, per-node RNG draws) to the
+reference; all arithmetic lives in ``_kernels.c`` and is bitwise-equal
+to the fallback.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -31,15 +36,19 @@ def _f64(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.float64)
 
 
+#: the code dtypes the C loops stride over
+_C_DTYPES = (np.uint8, np.uint16)
+
+
 def _c_codes(codes: np.ndarray) -> bool:
     """Whether the C kernels can read this codes array directly.
 
-    The C loops stride by itemsize and trust uint8/uint16 layouts — a
-    wider integer dtype (legal on the public grower APIs, and handled
-    fine by the numpy reference) would be silently misread, so those
-    inputs route to the fallback instead.
+    The C loops stride by itemsize over C-contiguous uint8/uint16 rows —
+    a wider integer dtype or another layout (legal on the public grower
+    APIs, and handled fine by the numpy reference) would be misread or
+    rejected, so those inputs route to the fallback instead.
     """
-    return codes.dtype in (np.uint8, np.uint16)
+    return codes.dtype in _C_DTYPES and codes.flags.c_contiguous
 
 
 class _ObliviousLevelScorer:
@@ -80,6 +89,46 @@ class NativeKernels:
     def __init__(self, cmod) -> None:
         self._c = cmod
 
+    def grow_tree(self, codes, grad, hess, n_bins, idx0, features, *,
+                  out_leaf=None, **params):
+        n = codes.shape[0]
+        if (
+            params["colsample_bylevel"] < 1.0 or params["extra_random"]
+            or not _c_codes(codes)
+            or grad.shape != (n,) or hess.shape != (n,)
+            or (out_leaf is not None and not (
+                out_leaf.dtype == np.int32 and out_leaf.shape == (n,)
+                and out_leaf.flags.c_contiguous and out_leaf.flags.writeable
+            ))
+        ):
+            # per-node RNG draws, or inputs the C loop cannot read: the
+            # reference loop, still over the C histogram/scan kernels
+            return fallback.grow_tree(
+                codes, grad, hess, n_bins, idx0, features,
+                out_leaf=out_leaf, kernels=self, **params,
+            )
+        max_depth = params["max_depth"]
+        features = _i64(features)
+        arrays = self._c.grow_tree(
+            codes, codes.dtype.itemsize, codes.shape[1], n, _i64(idx0),
+            _f64(grad), _f64(hess), features, _i64(n_bins[features]),
+            int(params["max_leaves"]),
+            -1 if max_depth is None else max(0, math.ceil(max_depth)),
+            float(params["min_child_weight"]), float(params["reg_alpha"]),
+            float(params["reg_lambda"]), float(params["min_gain"]), _EPS,
+            1 if params["leaf_wise"] else 0,
+            int(params["min_samples_leaf"]),
+            1 if params["hist_subtraction"] else 0,
+            int(params["hist_cache_bytes"]),
+            bytearray() if out_leaf is None else out_leaf,
+            0 if out_leaf is None else 1,
+        )
+        return tuple(
+            np.frombuffer(buf, dtype=dtype) for buf, dtype in zip(
+                arrays, (np.int32, np.int64, np.int32, np.int32, np.float64)
+            )
+        )
+
     def build_hists(self, codes, g, h, idx, features, n_bins, nbmax,
                     need_cnt, all_features=False):
         if not _c_codes(codes):
@@ -117,7 +166,7 @@ class NativeKernels:
 
     def build_class_hists(self, codes, yk, idx, w, features, n_classes,
                           nbmax, all_features=False):
-        if not (_c_codes(codes) and codes.flags.c_contiguous):
+        if not _c_codes(codes):
             return fallback.build_class_hists(
                 codes, yk, idx, w, features, n_classes, nbmax,
                 all_features=all_features,
@@ -133,8 +182,7 @@ class NativeKernels:
 
     def ensemble_predict(self, codes, feature, threshold, left, right,
                          value, tree_offset, tree_class, lr, out):
-        if not (_c_codes(codes) and codes.flags.c_contiguous
-                and out.flags.c_contiguous):
+        if not (_c_codes(codes) and out.flags.c_contiguous):
             return fallback.ensemble_predict(
                 codes, feature, threshold, left, right, value,
                 tree_offset, tree_class, lr, out,
@@ -149,8 +197,7 @@ class NativeKernels:
 
     def oblivious_predict(self, codes, features, thresholds, level_offset,
                           leaf_values, leaf_offset, tree_class, lr, out):
-        if not (_c_codes(codes) and codes.flags.c_contiguous
-                and out.flags.c_contiguous):
+        if not (_c_codes(codes) and out.flags.c_contiguous):
             return fallback.oblivious_predict(
                 codes, features, thresholds, level_offset, leaf_values,
                 leaf_offset, tree_class, lr, out,
@@ -165,7 +212,9 @@ class NativeKernels:
 
     def ObliviousLevelScorer(self, codes, cand_features, n_bins, grad,
                              hess, min_child_weight, reg_lambda):
-        if not _c_codes(codes):
+        # any layout works: the native scorer gathers its own
+        # C-contiguous copy of the candidate columns
+        if codes.dtype not in _C_DTYPES:
             return fallback.ObliviousLevelScorer(
                 codes, cand_features, n_bins, grad, hess,
                 min_child_weight, reg_lambda,

@@ -10,17 +10,33 @@ orders, in-place gain assembly and argmax tie-breaking are all part of
 the contract, so edit with care and re-run the parity fuzz + golden
 suites after any change.
 
+:func:`grow_tree` is ``GradTreeGrower.grow``'s whole node loop — root
+and child grad/hess sums, the stable row partition, leaf values, the
+histogram builds with sibling subtraction, the split scan and the
+best-first heap (or depth-wise FIFO).  Its C twin grows a tree in one
+call; the modes that draw from the grower's RNG at every node
+(``colsample_bylevel < 1``, ``extra_random``) run this loop on either
+implementation, over the bound kernels' ``build_hists`` and
+``best_split_scan``.  The node loop's own arithmetic is part of the
+contract too: ``ndarray.sum`` is numpy's pairwise sum, the per-node
+parent score is numpy *scalar* arithmetic (``np.float64 ** 2`` is libm
+``pow``), and pending splits pop in ``heapq``'s tuple order.
+
 Shared conventions (both implementations):
 
-* ``codes`` are C-contiguous uint8/uint16 bin codes, values strictly
-  below the per-feature ``n_bins`` (the :class:`~repro.learners.
-  histogram.Binner` invariant — the kernels trust it);
+* ``codes`` are uint8/uint16 bin codes, values strictly below the
+  per-feature ``n_bins`` (the :class:`~repro.learners.histogram.Binner`
+  invariant — the kernels trust it); the C kernels read C-contiguous
+  codes only, and the native wrappers route any other layout here;
 * index/feature arrays are int64, grad/hess are float64;
 * histograms are float64 ``(P, F, nbmax)`` with parts (grad, hess
   [, count]).
 """
 
 from __future__ import annotations
+
+import heapq
+import sys
 
 import numpy as np
 
@@ -30,6 +46,7 @@ __all__ = [
     "build_class_hists",
     "build_hists",
     "ensemble_predict",
+    "grow_tree",
     "oblivious_predict",
     "soft_threshold",
 ]
@@ -47,6 +64,20 @@ def soft_threshold(g, alpha: float):
 
 def _score(G, H, alpha: float, lam: float):
     return soft_threshold(G, alpha) ** 2 / (H + lam)
+
+
+def _leaf_value(G: float, H: float, alpha: float, lam: float) -> float:
+    # scalar soft-threshold in plain python: the ufunc chain of
+    # soft_threshold costs ~7 numpy dispatches per leaf, and leaves are
+    # created once per node; plain float ops run the identical IEEE
+    # arithmetic (sign/abs/subtract/divide), bit for bit
+    a = abs(G) - alpha
+    if a != a:  # NaN gradients must poison the leaf, as the ufunc
+        return -a / (H + lam)  # chain did (trial -> inf)
+    if a < 0.0:
+        a = 0.0
+    num = a if G > 0.0 else (-a if G < 0.0 else 0.0)
+    return -num / (H + lam)
 
 
 def build_hists(codes, g, h, idx, features, n_bins, nbmax, need_cnt,
@@ -250,6 +281,163 @@ def best_split_scan(hists, nbf, n_idx, G, H, parent, min_child_weight,
     k = int(gains.argmax())
     j, t = divmod(k, gains.shape[1])
     return float(gains[j, t]), j, t
+
+
+def grow_tree(codes, grad, hess, n_bins, idx0, features, *, max_leaves,
+              max_depth, min_child_weight, reg_alpha, reg_lambda, min_gain,
+              leaf_wise, colsample_bylevel, extra_random, min_samples_leaf,
+              hist_subtraction, hist_cache_bytes, rng, out_leaf=None,
+              kernels=None):
+    """Grow one gradient tree over the rows ``idx0`` and candidate
+    ``features``; returns its node arrays ``(feature int32, threshold
+    int64, left int32, right int32, value float64)``.
+
+    The keyword parameters are :class:`~repro.learners.tree.
+    GradTreeGrower`'s (``hist_cache_bytes`` caps the histograms parked
+    on pending nodes for the sibling-subtraction trick); ``rng`` is
+    drawn from only by per-level column sampling and the extra-random
+    scan.  ``out_leaf`` (int32, one entry per ``codes`` row) receives
+    each grown row's leaf id.  ``kernels`` supplies ``build_hists`` and
+    ``best_split_scan`` (default: this module's).
+    """
+    if kernels is None:
+        kernels = sys.modules[__name__]
+    d = codes.shape[1]
+    subtract = (
+        hist_subtraction and colsample_bylevel >= 1.0 and not extra_random
+    )
+    nbmax = int(n_bins[features].max()) if features.size else 0
+    need_cnt = min_samples_leaf > 1
+    hist_bytes = 0  # histograms currently parked on pending nodes
+    # per-tree constants of the per-node split scoring
+    all_features = features.size == d
+    nbf = n_bins[features] if colsample_bylevel >= 1.0 else None
+    t_valid = (
+        np.arange(nbmax - 1) < (nbf - 1)[:, None]
+        if nbf is not None and nbmax >= 2
+        else None
+    )
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def add_node(val: float) -> int:
+        feature.append(-1)
+        threshold.append(0)
+        left.append(-1)
+        right.append(-1)
+        value.append(val)
+        return len(feature) - 1
+
+    def best_split(idx, hists):
+        # (gain, feature, threshold, hists); the histograms actually
+        # used are returned so the caller can derive the children's
+        g, h = grad[idx], hess[idx]
+        G, H = float(g.sum()), float(h.sum())
+        parent = _score(G, H, reg_alpha, reg_lambda)
+        feats, all_f, nbf_f, t_valid_f = features, all_features, nbf, t_valid
+        if colsample_bylevel < 1.0:
+            k = max(1, int(round(colsample_bylevel * feats.size)))
+            feats = rng.choice(feats, size=k, replace=False)
+            all_f, nbf_f, t_valid_f = False, None, None
+        if nbf_f is None:
+            nbf_f = n_bins[feats]
+        nbmax_f = int(nbf_f.max())
+        if nbmax_f < 2:
+            return 0.0, -1, -1, None
+        if hists is None:
+            hists = kernels.build_hists(
+                codes, g, h, idx, feats, n_bins, nbmax_f, need_cnt,
+                all_features=all_f,
+            )
+        gain, j, t = kernels.best_split_scan(
+            hists, nbf_f, idx.size, G, H, parent,
+            min_child_weight, reg_alpha, reg_lambda, min_samples_leaf,
+            rng=rng if extra_random else None, t_valid=t_valid_f,
+        )
+        if j < 0 or gain <= _EPS:
+            return 0.0, -1, -1, hists
+        return gain, int(feats[j]), int(t), hists
+
+    root = add_node(_leaf_value(float(grad[idx0].sum()),
+                                float(hess[idx0].sum()),
+                                reg_alpha, reg_lambda))
+    if out_leaf is not None:
+        out_leaf[idx0] = root
+    n_leaves = 1
+    counter = 0  # heap tie-breaker
+
+    def splittable(idx: np.ndarray, depth: int) -> bool:
+        if max_depth is not None and depth >= max_depth:
+            return False
+        return idx.size >= 2 * min_samples_leaf and idx.size >= 2
+
+    def try_split(nid: int, idx: np.ndarray, depth: int, hists=None):
+        nonlocal counter, hist_bytes
+        if not splittable(idx, depth):
+            return None
+        gain, f, t, hists = best_split(idx, hists)
+        if f < 0 or gain <= min_gain:
+            return None
+        keep = None
+        if subtract and hists is not None:
+            if hist_bytes + hists.nbytes <= hist_cache_bytes:
+                keep, hist_bytes = hists, hist_bytes + hists.nbytes
+        counter += 1
+        return (-gain, counter, nid, idx, depth, f, t, keep)
+
+    heap: list = []
+    first = try_split(root, idx0, 0)
+    if first is not None:
+        heapq.heappush(heap, first)
+    while heap and n_leaves < max_leaves:
+        if leaf_wise:
+            _, _, nid, idx, depth, f, t, phists = heapq.heappop(heap)
+        else:
+            _, _, nid, idx, depth, f, t, phists = heap.pop(0)  # FIFO
+        if phists is not None:
+            hist_bytes -= phists.nbytes
+        goleft = codes[idx, f] <= t
+        li, ri = idx[goleft], idx[~goleft]
+        lval = _leaf_value(float(grad[li].sum()), float(hess[li].sum()),
+                           reg_alpha, reg_lambda)
+        rval = _leaf_value(float(grad[ri].sum()), float(hess[ri].sum()),
+                           reg_alpha, reg_lambda)
+        lid, rid = add_node(lval), add_node(rval)
+        feature[nid], threshold[nid], left[nid], right[nid] = f, t, lid, rid
+        if out_leaf is not None:
+            out_leaf[li] = lid
+            out_leaf[ri] = rid
+        n_leaves += 1
+        lh = rh = None
+        if phists is not None:
+            # bincount the smaller child only; the larger child's
+            # histograms are parent − sibling
+            small_is_left = li.size <= ri.size
+            small = li if small_is_left else ri
+            small_ok = splittable(small, depth + 1)
+            big_ok = splittable(ri if small_is_left else li, depth + 1)
+            if small_ok or big_ok:
+                sh = kernels.build_hists(
+                    codes, grad[small], hess[small], small, features,
+                    n_bins, nbmax, need_cnt, all_features=all_features,
+                )
+                bh = phists - sh if big_ok else None
+                lh, rh = (sh, bh) if small_is_left else (bh, sh)
+        for cid, cidx, chists in ((lid, li, lh), (rid, ri, rh)):
+            if n_leaves >= max_leaves:
+                break
+            item = try_split(cid, cidx, depth + 1, hists=chists)
+            if item is not None:
+                if leaf_wise:
+                    heapq.heappush(heap, item)
+                else:
+                    heap.append(item)
+    return (
+        np.asarray(feature, dtype=np.int32),
+        np.asarray(threshold, dtype=np.int64),
+        np.asarray(left, dtype=np.int32),
+        np.asarray(right, dtype=np.int32),
+        np.asarray(value, dtype=np.float64),
+    )
 
 
 class ObliviousLevelScorer:

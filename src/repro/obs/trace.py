@@ -25,7 +25,9 @@ worker processes by itself, so the process backend ships the flag with
 each trial, drains the worker-side ring after the trial
 (:func:`drain_spans`), and the engine merges the buffer back here via
 :func:`ingest_spans` — span ids embed the pid, so merged records keep
-their identity and parent links.
+their identity and parent links.  A forked child starts with an empty
+ring: the copy of the parent's buffer it inherits is the parent's to
+report, not the child's to ship back.
 
 Everything here is stdlib-only and safe to import from any layer.
 """
@@ -279,6 +281,18 @@ def tracer_stats() -> dict:
             "dropped": _dropped,
             "sink": _sink_path,
         }
+
+
+def _after_fork_in_child() -> None:
+    # another parent thread may have held the lock at fork time; the
+    # child gets a fresh one before it touches the ring
+    global _lock
+    _lock = threading.RLock()
+    _ring.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _reset_for_tests() -> None:

@@ -155,7 +155,8 @@ class TestPlaneCaching:
         assert stats["transform_hits"] >= 6
 
     def test_memoized_splits_are_identical_objects(self):
-        plane = BinnedDataset(self.make_data())
+        data = self.make_data()  # the plane holds its dataset weakly
+        plane = BinnedDataset(data)
         a = plane.holdout_split(0.2, 7)
         b = plane.holdout_split(0.2, 7)
         assert a[0] is b[0] and a[1] is b[1]
@@ -167,10 +168,18 @@ class TestPlaneCaching:
         data = self.make_data()
         plane = plane_for(data)
         assert plane_for(data) is plane
-        ref = weakref.ref(plane)
-        del plane, data
-        gc.collect()  # data <-> plane is a cycle; nothing else pins it
-        assert ref() is None
+        plane.holdout_split(0.2, 0)
+        refs = (weakref.ref(plane), weakref.ref(data))
+        # the plane refers back to its dataset only weakly, so reference
+        # counting alone frees both: no cycle left for a full GC pass
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del plane, data
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_dataset_stays_picklable_after_plane_attach(self):
         import pickle

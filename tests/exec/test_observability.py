@@ -29,6 +29,7 @@ from repro.obs.trace import (
     clear_spans,
     drain_spans,
     set_tracing,
+    snapshot_spans,
 )
 
 
@@ -214,6 +215,23 @@ class TestSpanCollection:
         diff = snapshot_diff(before, REGISTRY.snapshot())
         assert _counter_delta(diff, "repro_trials_total", status="ok",
                               backend="process") >= 4
+
+    def test_forked_workers_ship_only_their_own_spans(self, data):
+        """A worker forked while tracing is on inherits a copy of the
+        parent's span ring; shipping it back with the first trial would
+        count the parent's spans again.  The second fit forks its pool
+        with the first fit's spans still buffered."""
+        set_tracing(True)
+        ran = 0
+        for seed in (0, 1):
+            automl = AutoML(seed=seed, init_sample_size=100)
+            automl.fit(data.X, data.y, task="classification",
+                       time_budget=60, max_iters=4, n_workers=2,
+                       backend="process", estimator_list=["lgbm"])
+            result = automl.search_result
+            ran += len(result.trials) - result.cache_hits
+        trials = [s for s in snapshot_spans() if s["name"] == "trial"]
+        assert len({s["span"] for s in trials}) == len(trials) == ran
 
     def test_disabled_tracing_ships_nothing(self, data, metric):
         engine = ExecutionEngine(ProcessExecutor(data, n_workers=1),

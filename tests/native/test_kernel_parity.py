@@ -9,7 +9,9 @@ single-bin features, all-rows-one-leaf, and extreme float magnitudes
 bit patterns, so even NaN-producing inf−inf cancellations must agree).
 
 Whole-grower parity rides on top: a GradTree / oblivious-tree grown
-with the native kernels equals the fallback-grown tree node for node.
+with the native kernels equals the fallback-grown tree node for node,
+and the one-call C ``grow_tree`` returns the reference loop's node
+arrays and leaf assignment bit for bit.
 """
 
 import numpy as np
@@ -238,7 +240,146 @@ class TestObliviousScorerParity:
             node |= (codes[:, f] > ra[2]).astype(np.int64) << lvl
 
 
+@st.composite
+def tree_cases(draw):
+    """One whole-tree growth: codes, gradients, row sample, features and
+    the grower parameters of the native ``grow_tree`` path."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 300))
+    d = draw(st.integers(1, 6))
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    n_bins = rng.integers(1, 40 if dtype == np.uint8 else 400, size=d)
+    codes = np.empty((n, d), dtype=dtype)
+    for j in range(d):
+        codes[:, j] = rng.integers(0, n_bins[j], size=n)
+    kind = draw(st.sampled_from(["normal", "integer", "huge", "nonfinite"]))
+    if kind == "integer":  # small integer sums: exact gain ties
+        g = rng.integers(-2, 3, size=n).astype(np.float64)
+        h = np.ones(n)
+    else:
+        g = rng.standard_normal(n)
+        h = np.abs(rng.standard_normal(n)) + 1e-3
+    if kind == "huge":  # |G| > 1e50: scalar pow differs from x*x
+        g *= 10.0 ** rng.uniform(50, 150)
+    elif kind == "nonfinite":
+        for bad in (np.nan, np.inf, -np.inf):
+            if draw(st.booleans()):
+                g[rng.integers(0, n, size=rng.integers(1, 4))] = bad
+    rows = draw(st.sampled_from(["all", "unsorted", "bootstrap"]))
+    if rows == "all":
+        idx0 = np.arange(n)
+    elif rows == "unsorted":
+        idx0 = rng.choice(n, size=rng.integers(1, n + 1), replace=False)
+    else:
+        idx0 = rng.integers(0, n, size=n)
+    features = np.arange(d)
+    if draw(st.booleans()):  # colsample_bytree < 1
+        features = np.sort(rng.choice(d, size=rng.integers(1, d + 1),
+                                      replace=False))
+    msl = draw(st.sampled_from([1, 1, 3]))
+    leaf_wise = draw(st.booleans())
+    nbmax = int(n_bins[features].max())
+    one_hist = (3 if msl > 1 else 2) * features.size * nbmax * 8
+    params = dict(
+        max_leaves=draw(st.integers(2, 40)),
+        max_depth=None if leaf_wise and draw(st.booleans())
+        else draw(st.integers(0, 6)),
+        min_child_weight=draw(st.sampled_from([0.0, 1e-3, 1.0])),
+        reg_alpha=draw(st.sampled_from([0.0, 0.5])),
+        reg_lambda=draw(st.sampled_from([0.0, 1.0])),
+        min_gain=draw(st.sampled_from([0.0, 0.01])),
+        leaf_wise=leaf_wise,
+        colsample_bylevel=1.0,
+        extra_random=False,
+        min_samples_leaf=msl,
+        hist_subtraction=draw(st.booleans()),
+        hist_cache_bytes=draw(st.sampled_from([32 << 20, 0, one_hist])),
+    )
+    return (codes, g, h, n_bins.astype(np.int64), idx0, features,
+            draw(st.booleans()), params)
+
+
 class TestWholeGrowerParity:
+    @settings(max_examples=300, deadline=None)
+    @given(case=tree_cases())
+    def test_grow_tree_fuzz(self, case):
+        """The one-call C tree equals the reference node loop bit for
+        bit: all five node arrays and every row's leaf (or both raise
+        the plain-float leaf value's ZeroDivisionError when
+        ``reg_lambda = 0`` meets an empty hessian sum)."""
+        codes, g, h, n_bins, idx0, features, with_leaf, params = case
+        out = {}
+        for name, kernels in (("numpy", fallback), ("native", native())):
+            leaf = np.full(codes.shape[0], -7, dtype=np.int32)
+            try:
+                arrays = kernels.grow_tree(
+                    codes, g, h, n_bins, idx0, features,
+                    rng=np.random.default_rng(0),
+                    out_leaf=leaf if with_leaf else None, **params,
+                )
+            except ZeroDivisionError:
+                out[name] = "ZeroDivisionError"
+            else:
+                out[name] = (*arrays, leaf)
+        if isinstance(out["numpy"], str) or isinstance(out["native"], str):
+            assert out["numpy"] == out["native"]
+            return
+        for a, b in zip(out["numpy"], out["native"]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def _grow_both(self, codes, g, h, n_bins, **params):
+        kw = dict(max_depth=None, min_child_weight=0.0, reg_alpha=0.0,
+                  min_gain=0.0, leaf_wise=True, colsample_bylevel=1.0,
+                  extra_random=False, min_samples_leaf=1,
+                  hist_subtraction=True, hist_cache_bytes=32 << 20)
+        kw.update(params)
+        idx0 = np.arange(codes.shape[0])
+        features = np.arange(codes.shape[1])
+        return [
+            kernels.grow_tree(codes, g, h, n_bins, idx0, features,
+                              rng=np.random.default_rng(0), **kw)
+            for kernels in (fallback, native())
+        ]
+
+    def test_parent_score_is_scalar_pow(self):
+        """The reference's per-node parent score is ``np.float64 ** 2``
+        (libm pow), the scan's cells are the array square x*x.  Where
+        pow rounds below x*x, a split that moves no row scores a gain
+        of half an ulp of G**2 instead of 0 and is taken: a chain of
+        empty splits the C loop must grow too."""
+        rng = np.random.default_rng(0)
+        for x in rng.uniform(1e60, 1e61, 100_000):
+            if float(np.float64(x) ** 2) < x * x:
+                break
+        else:
+            pytest.skip("libm pow squares exactly on this platform")
+        codes = np.ones((2, 1), dtype=np.uint8)  # thresholds 0, 1
+        n_bins = np.array([3], dtype=np.int64)
+        g = np.array([x, 0.0])
+        h = np.array([0.25, 0.25])  # H + lambda = 1: exact division
+        ref, nat = self._grow_both(codes, g, h, n_bins, max_leaves=4,
+                                   reg_lambda=0.5)
+        assert ref[0].size == 7  # three empty splits, not a lone root
+        for a, b in zip(ref, nat):
+            assert a.tobytes() == b.tobytes()
+
+    def test_equal_gains_pop_in_heapq_order(self):
+        """Gradients odd-symmetric around the root split: each node has
+        a mirror node whose gain is exactly equal, so which one splits
+        first (and so every node id) is heapq's counter-broken tuple
+        order."""
+        r = np.arange(256)
+        bits = (r[:, None] >> np.arange(4)) & 1
+        codes = (bits + 1).astype(np.uint8)
+        g = 7.5 - bits @ np.array([8.0, 4.0, 2.0, 1.0])
+        h = np.ones(r.size)
+        n_bins = np.full(4, 3, dtype=np.int64)
+        ref, nat = self._grow_both(codes, g, h, n_bins, max_leaves=12,
+                                   reg_lambda=1.0, min_child_weight=1e-3)
+        for a, b in zip(ref, nat):
+            assert a.tobytes() == b.tobytes()
+
     def _tree_arrays(self, tree):
         return (tree._feature, tree._threshold, tree._left, tree._right,
                 tree._value)
@@ -290,10 +431,12 @@ class TestWholeGrowerParity:
         assert np.array_equal(probas[False], probas[True])
 
     def test_wide_code_dtypes_route_to_fallback(self):
-        """int32/int64 codes are legal on the public grower APIs; the C
-        kernels cannot stride them, so the native wrappers must hand
-        those inputs to the numpy reference instead of misreading the
-        buffer (regression: silent wrong trees / OOB histogram writes)."""
+        """int32/int64 codes and non-C-contiguous layouts are legal on
+        the public grower APIs; the C kernels cannot stride them, so the
+        native wrappers must hand those inputs to the numpy reference
+        instead of misreading the buffer (regression: silent wrong trees
+        / OOB histogram writes) or raising (regression: ``ndarray is not
+        C-contiguous`` from Fortran-ordered or column-strided codes)."""
         from repro.learners.tree import GradTreeGrower
 
         rng = np.random.default_rng(2)
@@ -305,10 +448,14 @@ class TestWholeGrowerParity:
         ref = GradTreeGrower(max_leaves=8, kernels=fallback,
                              rng=np.random.default_rng(0)).grow(
             base.astype(np.uint8), g, h, n_bins)
-        for dtype in (np.int32, np.int64, np.uint32):
+        layouts = [base.astype(dtype)
+                   for dtype in (np.int32, np.int64, np.uint32)]
+        layouts.append(np.asfortranarray(base.astype(np.uint8)))
+        layouts.append(np.repeat(base.astype(np.uint8), 2, axis=1)[:, ::2])
+        for codes in layouts:
             tree = GradTreeGrower(max_leaves=8, kernels=native(),
                                   rng=np.random.default_rng(0)).grow(
-                base.astype(dtype), g, h, n_bins)
+                codes, g, h, n_bins)
             np.testing.assert_array_equal(tree._value, ref._value)
             np.testing.assert_array_equal(tree._feature, ref._feature)
         # oblivious scorer factory: same routing
