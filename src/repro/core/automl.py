@@ -20,8 +20,11 @@ import time
 
 import numpy as np
 
+from ..data.binned import plane_enabled, plane_for
 from ..data.dataset import Dataset
+from ..learners.histogram import BinnedMatrix
 from ..metrics.registry import Metric, get_metric
+from ..obs.trace import trace_span
 from .controller import SearchController, SearchResult
 from .evaluate import _make_estimator
 from .registry import (
@@ -102,6 +105,18 @@ def _starting_points_from(source) -> dict[str, dict]:
         if cur is None or t.error < cur[0]:
             best[t.learner] = (t.error, dict(t.config))
     return {name: cfg for name, (_, cfg) in best.items()}
+
+
+def _retrain_input(data: Dataset, est_cls: type):
+    """What the winner's final fit reads: the plane's view of every row
+    when the learner bins through the plane and the plane serves this
+    data (see :meth:`AutoML.fit`), else the raw feature matrix."""
+    if not (plane_enabled() and getattr(est_cls, "_uses_binned_plane", False)):
+        return data.X
+    plane = plane_for(data)
+    if not (plane.exact or plane.sketch):
+        return data.X
+    return plane.view(np.arange(data.n), ("all", data.n))
 
 
 class AutoML:
@@ -233,6 +248,13 @@ class AutoML:
         serial substrate without ``executor_factory`` hands back the
         evaluated models, so ``retrain_full=False`` takes effect only
         there; everywhere else the winner is retrained on the full data.
+        A winner that bins through the shared plane is retrained on the
+        plane's view of every row (an ``automl.retrain`` span covers the
+        final fit): byte-identical to a raw fit at or below
+        ``BinnedDataset.EXACT_ROW_LIMIT`` rows, and above it binned on
+        the sketch grid and bundles its config was validated on, reusing
+        the search's base codes.  Other learners, forecasting and
+        ensembles retrain on the raw features.
         ``executor_factory`` hands trial execution to an external
         substrate: it is called with the prepared (shuffled,
         preprocessed) :class:`~repro.data.dataset.Dataset` and must
@@ -446,12 +468,18 @@ class AutoML:
                 base = _make_estimator(est_cls, base_cfg, seed, retrain_limit)
                 self._model = ForecastModel(
                     base, featurizer, horizon=self._horizon
-                ).fit(data.y)
+                )
+                fit_args = (data.y,)
             else:
                 self._model = _make_estimator(
                     est_cls, self._result.best_config, seed, retrain_limit
                 )
-                self._model.fit(data.X, data.y)
+                fit_args = (_retrain_input(data, est_cls), data.y)
+            with trace_span("automl.retrain",
+                            learner=self._result.best_learner,
+                            rows=int(data.n),
+                            plane=isinstance(fit_args[0], BinnedMatrix)):
+                self._model.fit(*fit_args)
         else:
             self._model = self._result.best_model
         return self

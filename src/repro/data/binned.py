@@ -342,14 +342,13 @@ class BinnedDataset:
                 "plane_bytes": (self._binned.nbytes + self._transforms.nbytes
                                 + prefix_bytes),
                 "sketch": self.sketch,
-                "adopted_codes": False,
+                "adopted_codes": self._force_sketch,
                 "bundles": 0,
             }
         st = self._sketch_state
         if st is not None:
             out["bundles"] = len(st["bundles"])
             if st["base_codes"] is not None:
-                out["adopted_codes"] = True
                 out["base_codes_bytes"] = int(st["base_codes"].nbytes)
         return out
 
@@ -468,7 +467,12 @@ class BinnedDataset:
         """Build (once) the sketch state: the base binner, per-base-bin
         sketch occupancy counts, per-feature default codes, and the
         exact-verified exclusive bundles.  Deterministic in the dataset
-        content and the SKETCH_* class attributes."""
+        content and the SKETCH_* class attributes.
+
+        When the sketch is every row (``n <= SKETCH_SIZE``) its codes
+        *are* the full base-code matrix: they are kept, so no later
+        consumer bins a row again, and bundles found on them need no
+        separate verification pass."""
         st = self._sketch_state
         if st is not None:
             return st
@@ -479,9 +483,9 @@ class BinnedDataset:
                 base = SketchBinner(self.SKETCH_BASE_BINS, self.SKETCH_SIZE,
                                     self.SKETCH_SEED).fit(self.data.X)
                 rows = base.sketch_rows(self.data.n)
+                every_row = rows.size == self.data.n
                 sk = base.transform(
-                    self.data.X if rows.size == self.data.n
-                    else self.data.X[rows]
+                    self.data.X if every_row else self.data.X[rows]
                 )
                 _m_base_rows.inc(int(sk.shape[0]))
                 counts = [
@@ -492,13 +496,14 @@ class BinnedDataset:
                                       dtype=np.int64)
                 bundles: list[list[int]] = []
                 if _bundling_enabled():
-                    bundles = self._verify_bundles(
-                        find_bundles(sk, base.n_bins_, defaults),
-                        base, defaults,
-                    )
+                    bundles = find_bundles(sk, base.n_bins_, defaults)
+                    if not every_row:
+                        bundles = self._verify_bundles(bundles, base,
+                                                       defaults)
             self._sketch_state = {
                 "base": base, "counts": counts, "defaults": defaults,
-                "bundles": bundles, "base_codes": None,
+                "bundles": bundles,
+                "base_codes": _readonly(sk) if every_row else None,
             }
         return self._sketch_state
 
@@ -545,17 +550,38 @@ class BinnedDataset:
             self._force_sketch = True
 
     def fill_base_codes(self, out: np.ndarray) -> np.ndarray:
-        """Write the full base-code matrix into ``out`` chunk-wise (the
-        shm exporter passes the segment-backed array, so peak transient
-        float memory stays ~16 MB regardless of n)."""
-        st = self._ensure_sketch()
-        base = st["base"]
-        n, d = self.data.n, self.data.d
-        step = max(1, (16 << 20) // max(1, d * 8))
-        for i in range(0, n, step):
-            out[i:i + step] = base.transform(self.data.X[i:i + step])
-        _m_base_rows.inc(int(n))
+        """Copy the full base-code matrix into ``out`` (the shm exporter
+        passes the segment-backed array).  The matrix is the one the
+        plane keeps (:meth:`_full_base_codes`) and the winner's retrain
+        gathers from: on data the sketch covered the export bins
+        nothing, and above ``SKETCH_SIZE`` every row is binned once for
+        the export and the retrain together."""
+        out[...] = self._full_base_codes()
         return out
+
+    def _full_base_codes(self) -> np.ndarray:
+        """The kept (n, d) base-code matrix, binned on first use.
+
+        The sketch keeps it when it saw every row; above ``SKETCH_SIZE``
+        the first consumer that needs every row (the shm export or the
+        winner's retrain) bins them here, chunk-wise so transient float
+        memory stays ~16 MB regardless of n.  Prefix requests made
+        before then stay lazy (:class:`_PrefixCodes` bins O(s) rows)."""
+        st = self._ensure_sketch()
+        if st["base_codes"] is not None:
+            return st["base_codes"]
+        with self._sketch_lock:
+            if st["base_codes"] is None:
+                base = st["base"]
+                n, d = self.data.n, self.data.d
+                out = np.empty((n, d),
+                               dtype=code_dtype(int(base.n_bins_.max())))
+                step = max(1, (16 << 20) // max(1, d * 8))
+                for i in range(0, n, step):
+                    out[i:i + step] = base.transform(self.data.X[i:i + step])
+                _m_base_rows.inc(int(n))
+                st["base_codes"] = _readonly(out)
+        return st["base_codes"]
 
     def global_binner(self, max_bins: int):
         """The dataset-level binner serving ``max_bins`` (memoized).
@@ -597,11 +623,14 @@ class BinnedDataset:
         return binner
 
     def _base_codes_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Base-grid codes for ``rows``: a gather when the full matrix
-        was adopted (shm workers), a transform of just those rows
+        """Base-grid codes for ``rows``: a gather when the plane holds
+        the full matrix (kept by the sketch, built by a request for
+        every row, or adopted from shm), a transform of just those rows
         otherwise."""
         st = self._ensure_sketch()
         bc = st["base_codes"]
+        if bc is None and np.size(rows) == self.data.n:
+            bc = self._full_base_codes()
         if bc is not None:
             return bc[rows]
         _m_base_rows.inc(int(np.size(rows)))

@@ -212,9 +212,11 @@ class BundledBinner:
     ``transform`` and ``total_bins`` — so it drops into the
     ``(codes, n_bins, binner)`` triple the binned plane serves.
 
-    Not serialisable by :mod:`repro.learners.model_io` — it only ever
-    lives inside trial evaluation (final deployment models are refit on
-    raw data with a plain in-learner binner).
+    Final models carry it too: a winner retrained on the plane above the
+    exact-binning limit (or a ``retrain_full=False`` trial model) bins
+    raw rows through it at predict time, and
+    :mod:`repro.learners.model_io` stores it as the inner binner's edges
+    plus this layout's defaults and bundles.
     """
 
     def __init__(self, inner, layout: BundleLayout) -> None:

@@ -409,10 +409,10 @@ class ProcessExecutor(TrialExecutor):
     def _export_codes(self, data: Dataset) -> dict:
         """Export the sketch-grid base-code matrix + grid state.
 
-        The code segment is filled chunk-wise straight from the plane,
-        so the parent never materialises a second full-size array; the
-        grid itself (base binner, counts, defaults, bundles) is tiny
-        and rides the pickled init payload.
+        The code segment is a copy of the base-code matrix the plane
+        keeps (and the winner's retrain gathers from), so exporting
+        bins no row twice; the grid itself (base binner, counts,
+        defaults, bundles) is tiny and rides the pickled init payload.
         """
         _maybe_shm_fault("export", ("export", "codes"))
         plane = plane_for(data)

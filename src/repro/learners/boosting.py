@@ -21,7 +21,7 @@ import numpy as np
 
 from ..native import active_kernels
 from .base import BaseClassifierMixin, BaseEstimator, validate_data
-from .histogram import BinnedMatrix, Binner
+from .histogram import BinnedMatrix, Binner, split_importances
 from .losses import Loss, get_loss, sigmoid, softmax
 from .tree import FlatEnsemble, GradTreeGrower, Tree
 
@@ -342,17 +342,13 @@ class _GBDTBase(BaseEstimator):
 
 class _GBDTBaseWithImportance(_GBDTBase):
     @property
-    def feature_importances_(self) -> "np.ndarray":
-        """Split-count feature importances, normalised to sum to 1."""
-        import numpy as np
-
-        d = len(self.engine_.binner_.bin_edges_)
-        counts = np.zeros(d)
-        for round_trees in self.engine_.trees_:
-            for tree in round_trees:
-                counts += tree.split_feature_counts(d)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
+    def feature_importances_(self) -> np.ndarray:
+        """Split-count feature importances, one per input column,
+        normalised to sum to 1."""
+        engine = self.engine_
+        return split_importances(
+            engine.binner_, [t for rt in engine.trees_ for t in rt]
+        )
 
 
 class _GBDTClassifier(BaseClassifierMixin, _GBDTBaseWithImportance):

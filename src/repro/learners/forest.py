@@ -19,7 +19,7 @@ import numpy as np
 
 from ..native import active_kernels
 from .base import BaseClassifierMixin, BaseEstimator, validate_data
-from .histogram import BinnedMatrix, Binner
+from .histogram import BinnedMatrix, Binner, split_importances
 from .tree import ClassTreeGrower, FlatEnsemble, GradTreeGrower, Tree
 
 __all__ = [
@@ -132,13 +132,9 @@ class _ForestBase(BaseEstimator):
 class _ForestImportanceMixin:
     @property
     def feature_importances_(self) -> np.ndarray:
-        """Split-count feature importances, normalised to sum to 1."""
-        d = len(self.binner_.bin_edges_)
-        counts = np.zeros(d)
-        for tree in self.trees_:
-            counts += tree.split_feature_counts(d)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
+        """Split-count feature importances, one per input column,
+        normalised to sum to 1."""
+        return split_importances(self.binner_, self.trees_)
 
 
 class RandomForestClassifier(BaseClassifierMixin, _ForestImportanceMixin,

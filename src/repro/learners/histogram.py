@@ -23,6 +23,7 @@ __all__ = [
     "MISSING_BIN",
     "SketchBinner",
     "code_dtype",
+    "split_importances",
 ]
 
 #: Bin code reserved for missing values.
@@ -149,6 +150,25 @@ class Binner:
         if self.n_bins_ is None:
             raise RuntimeError("Binner not fitted")
         return int(self.n_bins_.max())
+
+
+def split_importances(binner, trees) -> np.ndarray:
+    """Split-count importances of ``trees``, one per *input* column of
+    ``binner``, normalised to sum to 1.
+
+    Trees split on the binner's output features; under a bundled binner
+    (``layout`` attribute) a merged column's count is spread evenly over
+    the columns it bundles.
+    """
+    d = len(binner.bin_edges_)
+    counts = np.zeros(d)
+    for tree in trees:
+        counts += tree.split_feature_counts(d)
+    layout = getattr(binner, "layout", None)
+    if layout is not None:
+        counts = layout.unbundle_counts(counts)
+    total = counts.sum()
+    return counts / total if total > 0 else counts
 
 
 # ----------------------------------------------------------------------

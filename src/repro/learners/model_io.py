@@ -123,6 +123,19 @@ def _load_tree(obj: dict) -> Tree:
 
 
 def _dump_binner(binner) -> dict:
+    """The edges a binner maps raw values with.  A plane-grid binner
+    (``SketchBinner``/``DerivedBinner``) bins raw values with its own
+    edges, so it dumps like a plain ``Binner``; a ``BundledBinner``
+    dumps its inner binner plus the bundle layout merging its codes."""
+    from ..data.bundling import BundledBinner
+
+    if isinstance(binner, BundledBinner):
+        layout = binner.layout
+        return {
+            **_dump_binner(binner.inner),
+            "bundle_defaults": _arr(layout.defaults),
+            "bundles": layout.bundles,
+        }
     return {
         "max_bins": binner.max_bins,
         "bin_edges": [_arr(e) for e in binner.bin_edges_],
@@ -131,11 +144,16 @@ def _dump_binner(binner) -> dict:
 
 
 def _load_binner(obj: dict):
+    from ..data.bundling import BundledBinner, BundleLayout
     from .histogram import Binner
 
     binner = Binner(max_bins=obj["max_bins"])
     binner.bin_edges_ = [np.asarray(e, dtype=np.float64) for e in obj["bin_edges"]]
     binner.n_bins_ = np.asarray(obj["n_bins"], dtype=np.int64)
+    if "bundles" in obj:
+        layout = BundleLayout(binner.n_bins_, obj["bundle_defaults"],
+                              obj["bundles"])
+        return BundledBinner(binner, layout)
     return binner
 
 

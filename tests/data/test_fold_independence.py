@@ -123,3 +123,72 @@ class TestPlanePathsAgree:
         ca = a.codes_from_base(plane._base_codes_rows(rows))
         cb = b.codes_from_base(other._base_codes_rows(rows))
         assert ca.tobytes() == cb.tobytes()
+
+
+def _base_rows_binned() -> int:
+    from repro.data import binned
+
+    return binned._m_base_rows.value
+
+
+class TestKeptBaseCodes:
+    """Each row is binned onto the base grid once per plane: the full
+    base-code matrix is kept and every later consumer gathers from it."""
+
+    def test_sketch_of_every_row_is_the_kept_matrix(self, sketch_plane):
+        data, plane = sketch_plane
+        st = plane.sketch_state()  # n <= SKETCH_SIZE: the sketch is every row
+        kept = st["base_codes"]
+        assert kept is not None and not kept.flags.writeable
+        assert kept.tobytes() == st["base"].transform(data.X).tobytes()
+        stats = plane.stats()
+        assert stats["base_codes_bytes"] == data.n * data.d
+        assert not stats["adopted_codes"]  # kept in the parent, not shipped
+        before = _base_rows_binned()
+        out = np.empty_like(kept)
+        plane.fill_base_codes(out)  # the shm export copies, bins nothing
+        plane.binned_for(np.arange(data.n), ("all", data.n), 64)
+        assert _base_rows_binned() == before
+        assert out.tobytes() == kept.tobytes()
+
+    def test_bundles_found_on_every_row_need_no_verification(self,
+                                                             monkeypatch):
+        from repro.data.dataset import Dataset
+        from repro.data.preprocessing import OneHotEncoder
+
+        monkeypatch.setattr(BinnedDataset, "EXACT_ROW_LIMIT", 100)
+        rng = np.random.default_rng(0)
+        X = np.column_stack([rng.standard_normal((3000, 3)),
+                             rng.integers(0, 8, size=3000)])
+        X = OneHotEncoder(columns=(3,)).fit_transform(X)
+        data = Dataset("kept-efb", X, X[:, 0], "regression")
+        plane = plane_for(data)
+        st = plane.sketch_state()
+        assert st["bundles"]
+        # the full-column check the sketch of every row skips keeps all
+        assert plane._verify_bundles(st["bundles"], st["base"],
+                                     st["defaults"]) == st["bundles"]
+
+    def test_above_sketch_size_all_rows_are_binned_once(self, sketch_plane,
+                                                        monkeypatch):
+        data, _ = sketch_plane
+        monkeypatch.setattr(BinnedDataset, "SKETCH_SIZE", 1000)
+        plane = BinnedDataset(data)
+        assert plane.sketch_state()["base_codes"] is None
+        tr, _ = plane.holdout_split(0.1, 0)
+        before = _base_rows_binned()
+        plane.binned_for(tr[:400], ("ho-tr", 0.1, 0, 400), 64)
+        # a prefix request stays lazy: O(s) rows, no full matrix
+        assert _base_rows_binned() - before == 400
+        assert plane.sketch_state()["base_codes"] is None
+        # the first consumer of every row bins each row once and keeps it
+        codes, _, binner = plane.binned_for(
+            np.arange(data.n), ("all", data.n), 64)
+        assert _base_rows_binned() - before == 400 + data.n
+        out = np.empty((data.n, data.d), dtype=np.uint8)
+        plane.fill_base_codes(out)
+        plane.binned_for(tr[:1600], ("ho-tr", 0.1, 0, 1600), 64)
+        assert _base_rows_binned() - before == 400 + data.n
+        assert codes.tobytes() == binner.transform(data.X).tobytes()
+        base = plane.sketch_state()["base"]
+        assert out.tobytes() == base.transform(data.X).tobytes()
