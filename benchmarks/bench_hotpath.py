@@ -1,4 +1,4 @@
-"""Hot-path benchmark: trials/sec across the trial-path optimisation axes.
+"""Hot-path benchmark: trials/sec with the native kernels off vs on.
 
 Measures the **trial-execution** hot path on a fixed, realistic trial
 workload.  Per dataset:
@@ -7,14 +7,14 @@ workload.  Per dataset:
    to *record* the TrialSpecs it proposes — the representative mix of
    learners, configs, sample sizes and resampling a real search
    executes;
-2. that exact spec list is replayed three times — ``legacy`` (binned
-   plane off, native kernels off: the pre-PR-4 trial path), ``plane``
-   (plane on, kernels off) and ``native`` (plane on, compiled kernels
-   on: the default path) — and trials/sec is reported for each.
+2. that exact spec list is replayed twice through the binned-data
+   plane — ``plane`` (native kernels off: the numpy fallback) and
+   ``native`` (compiled kernels on: the default path) — and trials/sec
+   is reported for each.
 
 The replays must produce **identical per-trial error sequences**
-(asserted): plane and kernels are pure reuse / bitwise-equal rewrites,
-so the only thing allowed to change is wall-clock.
+(asserted): the kernels are bitwise-equal rewrites, so the only thing
+allowed to change is wall-clock.
 
 Why replay rather than time the search loop itself?  FLAML's proposer
 is cost-aware by design (ECI steers learner choice and the sample-size
@@ -25,10 +25,10 @@ the workload.
 
 Methodology notes:
 
-* each replay runs against a fresh copy of the dataset, so the plane
-  run starts cold and fills its caches inside the measured window —
-  the reported speedup includes the cache-build cost;
-* the legacy replay goes first, so OS/CPU warm-up favours the
+* each replay runs against a fresh copy of the dataset, so every
+  replay starts with a cold plane and fills its caches inside the
+  measured window;
+* the kernels-off replay goes first, so OS/CPU warm-up favours the
   *baseline*;
 * trial time limits in the recorded specs are effectively infinite
   (the recording search gets an unbounded budget), so no trial is
@@ -52,7 +52,7 @@ import numpy as np
 
 from repro.core.controller import SearchController
 from repro.core.registry import DEFAULT_LEARNERS
-from repro.data import Dataset, load_dataset, set_plane_enabled
+from repro.data import Dataset, load_dataset
 from repro.exec.serial import SerialExecutor
 from repro.exec.base import run_spec
 from repro.metrics.registry import default_metric_name, get_metric
@@ -98,16 +98,12 @@ def collect_specs(data, max_iters: int, seed: int):
     return recorder.specs
 
 
-#: replay modes: (binned plane, native kernels); ``native`` is the
-#: system default path, ``legacy`` the pre-PR-4 one
-MODES = {
-    "legacy": (False, False),
-    "plane": (True, False),
-    "native": (True, True),
-}
+#: replay modes: whether the native kernels are on; ``native`` is the
+#: system default path, ``plane`` its numpy fallback
+MODES = {"plane": False, "native": True}
 
 
-def replay(data, specs, plane: bool, native: bool):
+def replay(data, specs, native: bool):
     """Execute ``specs`` against a fresh dataset copy; (wall, errors).
 
     The copy guarantees a cold plane (planes are keyed by dataset
@@ -115,14 +111,12 @@ def replay(data, specs, plane: bool, native: bool):
     """
     clone = Dataset(data.name, data.X.copy(), data.y.copy(), data.task,
                     data.categorical)
-    prev_plane = set_plane_enabled(plane)
     prev_native = set_native_enabled(native)
     try:
         start = time.perf_counter()
         errors = [run_spec(clone, spec).error for spec in specs]
         wall = time.perf_counter() - start
     finally:
-        set_plane_enabled(prev_plane)
         set_native_enabled(prev_native)
     return wall, errors
 
@@ -140,13 +134,11 @@ def bench_dataset(name: str, max_iters: int, seed: int, repeats: int = 1,
     specs = collect_specs(data, max_iters, seed)
     walls, errors = {}, {}
     for mode in modes:
-        plane, native = MODES[mode]
-        walls[mode], errors[mode] = replay(data, specs, plane, native)
+        walls[mode], errors[mode] = replay(data, specs, MODES[mode])
     for _ in range(repeats - 1):
         for mode in modes:
-            plane, native = MODES[mode]
             walls[mode] = min(walls[mode],
-                              replay(data, specs, plane, native)[0])
+                              replay(data, specs, MODES[mode])[0])
     base = errors[modes[0]]
     identical = all(errors[m] == base for m in modes)
     out = {
@@ -159,15 +151,9 @@ def bench_dataset(name: str, max_iters: int, seed: int, repeats: int = 1,
     for mode in modes:
         out[f"wall_{mode}_s"] = round(walls[mode], 4)
         out[f"trials_per_sec_{mode}"] = round(len(specs) / walls[mode], 3)
-    if "plane" in walls:
-        out["speedup_plane"] = round(walls["legacy"] / walls["plane"], 3)
     if "native" in walls:
-        # full-path speedup vs the pre-PR-4 trial path, and the
-        # kernels' own contribution on top of the plane
-        out["speedup"] = round(walls["legacy"] / walls["native"], 3)
-        out["speedup_kernel"] = round(walls["plane"] / walls["native"], 3)
-    else:
-        out["speedup"] = out.get("speedup_plane")
+        # the kernels' contribution on top of the numpy plane
+        out["speedup"] = round(walls["plane"] / walls["native"], 3)
     return out
 
 
@@ -184,17 +170,17 @@ def traced_replay(name: str, max_iters: int, seed: int, repeats: int,
 
     data = load_dataset(name).shuffled(seed)
     specs = collect_specs(data, max_iters, seed)
-    plane, native = MODES[mode]
-    wall_off, base_errors = replay(data, specs, plane, native)
+    native = MODES[mode]
+    wall_off, base_errors = replay(data, specs, native)
     for _ in range(repeats - 1):
-        wall_off = min(wall_off, replay(data, specs, plane, native)[0])
+        wall_off = min(wall_off, replay(data, specs, native)[0])
     prev_on = set_tracing(True)
     prev_sink = set_trace_sink(trace_path)
     try:
-        wall_on, traced_errors = replay(data, specs, plane, native)
+        wall_on, traced_errors = replay(data, specs, native)
         set_trace_sink(prev_sink)
         for _ in range(repeats - 1):
-            wall_on = min(wall_on, replay(data, specs, plane, native)[0])
+            wall_on = min(wall_on, replay(data, specs, native)[0])
     finally:
         set_tracing(prev_on)
         set_trace_sink(prev_sink)
@@ -275,10 +261,8 @@ def _peak_rss_bytes() -> int:
 def bench_large_n_rows(n: int, seed: int, modes) -> dict:
     """One row-count of the large-n tier.
 
-    Per mode (``plane``/``native`` — the legacy path is out of scope
-    here: above the exact-binning limit the sketch grid is an intended
-    semantic change, so a plane-off replay produces *different* errors
-    by design and would be timing a different computation):
+    Per mode (``plane``/``native``; both serve the sketch grid, since
+    the data is above the exact-binning limit):
 
     * rows/s — training rows consumed per second over the replay
       (sum of trial sample sizes / wall);
@@ -309,18 +293,15 @@ def bench_large_n_rows(n: int, seed: int, modes) -> dict:
     }
     errors = {}
     for mode in modes:
-        plane_on, native_on = MODES[mode]
         clone = Dataset(data.name, data.X.copy(), data.y.copy(), data.task,
                         data.categorical)
-        prev_plane = set_plane_enabled(plane_on)
-        prev_native = set_native_enabled(native_on)
+        prev_native = set_native_enabled(MODES[mode])
         before = REGISTRY.snapshot()
         try:
             start = time.perf_counter()
             errors[mode] = [run_spec(clone, spec).error for spec in specs]
             wall = time.perf_counter() - start
         finally:
-            set_plane_enabled(prev_plane)
             set_native_enabled(prev_native)
         after = REGISTRY.snapshot()
         stats = plane_for(clone).stats()
@@ -384,9 +365,7 @@ def run_large_n(args, modes) -> dict:
             "synthetic regression (8 dense features + 10-category "
             "one-hot block), hand-built geometric sample-size ladder "
             "replayed serially per mode. Modes share the sketch grid "
-            "and must produce identical per-trial errors (asserted); "
-            "the legacy plane-off path is intentionally absent - above "
-            "EXACT_ROW_LIMIT the sketch grid is a semantic change. "
+            "and must produce identical per-trial errors (asserted). "
             "rows/s = sum of trial sample sizes / wall. The ship "
             "comparison exports the dataset to one process worker as "
             "pre-binned codes vs float64 and runs the same trial "
@@ -426,7 +405,7 @@ def run_large_n(args, modes) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(
         prog="python benchmarks/bench_hotpath.py",
-        description="Measure trials/sec with the binned-data plane off vs on.",
+        description="Measure trials/sec with the native kernels off vs on.",
     )
     p.add_argument("--datasets", nargs="*", default=DEFAULT_DATASETS)
     p.add_argument("--max-iters", type=int, default=40,
@@ -437,8 +416,9 @@ def main(argv=None) -> int:
     p.add_argument("--out", type=Path, default=OUT_PATH,
                    help=f"output JSON (default {OUT_PATH})")
     p.add_argument("--fail-below", type=float, default=None, metavar="X",
-                   help="exit 1 if aggregate speedup < X (CI smoke uses "
-                        "0.33: fail only on gross slowdowns)")
+                   help="exit 1 if the aggregate plane->native speedup "
+                        "< X (CI smoke uses 0.33: fail only on gross "
+                        "slowdowns); needs the native kernels")
     p.add_argument("--trace", default=None, metavar="JSONL",
                    help="also run a traced replay of the default mode, "
                         "writing its spans to this JSONL file and printing "
@@ -465,8 +445,11 @@ def main(argv=None) -> int:
     if args.trace_overhead is not None and args.trace is None:
         p.error("--trace-overhead requires --trace")
 
+    # compile the kernels before any timed window (build is cached; a
+    # box without a compiler — or REPRO_NATIVE=0 — honestly benches the
+    # numpy-only mode)
+    modes = tuple(MODES) if native_enabled() else ("plane",)
     if args.large_n:
-        modes = ("plane", "native") if native_enabled() else ("plane",)
         tier = run_large_n(args, modes)
         record = {}
         if args.out.exists():
@@ -476,13 +459,13 @@ def main(argv=None) -> int:
         print(f"[saved to {args.out}]")
         return 0
 
-    # compile the kernels before any timed window (build is cached; a
-    # box without a compiler — or REPRO_NATIVE=0 — honestly benches the
-    # numpy-only modes)
-    modes = tuple(MODES) if native_enabled() else ("legacy", "plane")
     if "native" not in modes:
+        if args.fail_below is not None:
+            print("FAIL: --fail-below compares plane against native, but "
+                  "the native kernels are disabled or unavailable")
+            return 1
         print("note: native kernels disabled or unavailable; "
-              "benching legacy/plane only")
+              "benching plane only")
 
     per_dataset = {}
     for name in args.datasets:
@@ -494,8 +477,9 @@ def main(argv=None) -> int:
         rates = "  ".join(
             f"{m} {r[f'trials_per_sec_{m}']:>7.2f}/s" for m in modes
         )
-        print(f"{name:<20} {r['trials']:>3} trials  {rates}  "
-              f"speedup {r['speedup']:.2f}x  "
+        speedup = (f"speedup {r['speedup']:.2f}x  " if "speedup" in r
+                   else "")
+        print(f"{name:<20} {r['trials']:>3} trials  {rates}  {speedup}"
               f"errors_identical={r['errors_identical']}")
 
     total_trials = sum(r["trials"] for r in per_dataset.values())
@@ -511,14 +495,8 @@ def main(argv=None) -> int:
     }
     for m in modes:
         aggregate[f"trials_per_sec_{m}"] = round(total_trials / wall[m], 3)
-    aggregate["speedup_plane"] = round(wall["legacy"] / wall["plane"], 3)
     if "native" in modes:
-        aggregate["speedup"] = round(wall["legacy"] / wall["native"], 3)
-        aggregate["speedup_kernel"] = round(
-            wall["plane"] / wall["native"], 3
-        )
-    else:
-        aggregate["speedup"] = aggregate["speedup_plane"]
+        aggregate["speedup"] = round(wall["plane"] / wall["native"], 3)
 
     trace_record = None
     if args.trace:
@@ -565,14 +543,13 @@ def main(argv=None) -> int:
         "created_unix": int(time.time()),
         "methodology": (
             "fixed spec workload recorded from a real search, replayed "
-            "against a cold dataset copy per mode; legacy = binned-data "
-            "plane AND native kernels off (the pre-PR-4 trial path); "
-            "plane = plane on, kernels off; native = plane + compiled "
-            "kernels (the default path). 'speedup' is legacy->native "
-            "(full trial path), 'speedup_kernel' is plane->native (the "
-            "C kernels' own contribution). All modes must produce "
-            "identical per-trial error sequences - the kernels are "
-            "bitwise-equal rewrites, not approximations."
+            "against a cold dataset copy per mode; both modes run the "
+            "binned-data plane; plane = native kernels off (the numpy "
+            "fallback); native = compiled kernels (the default path). "
+            "'speedup' is plane->native (the C kernels' own "
+            "contribution). All modes must produce identical per-trial "
+            "error sequences - the kernels are bitwise-equal rewrites, "
+            "not approximations."
         ),
         "config": {
             "datasets": list(args.datasets),
@@ -594,11 +571,10 @@ def main(argv=None) -> int:
     rates = " -> ".join(
         f"{aggregate[f'trials_per_sec_{m}']:.2f}" for m in modes
     )
-    print(f"aggregate speedup {aggregate['speedup']:.2f}x "
-          f"({rates} trials/s"
-          + (f", kernel alone {aggregate['speedup_kernel']:.2f}x"
-             if "speedup_kernel" in aggregate else "")
-          + f"), errors_identical={aggregate['errors_identical']}")
+    speedup = (f"speedup {aggregate['speedup']:.2f}x "
+               if "speedup" in aggregate else "")
+    print(f"aggregate {speedup}({rates} trials/s), "
+          f"errors_identical={aggregate['errors_identical']}")
     print(f"[saved to {args.out}]")
     if not aggregate["errors_identical"]:
         print("FAIL: an optimised mode changed trial errors")

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from ..data.binned import plane_enabled, plane_for
+from ..data.binned import plane_for
 from ..data.dataset import Dataset
 from ..learners.histogram import BinnedMatrix
 from ..metrics.registry import Metric, get_metric
@@ -109,14 +109,11 @@ def _starting_points_from(source) -> dict[str, dict]:
 
 def _retrain_input(data: Dataset, est_cls: type):
     """What the winner's final fit reads: the plane's view of every row
-    when the learner bins through the plane and the plane serves this
-    data (see :meth:`AutoML.fit`), else the raw feature matrix."""
-    if not (plane_enabled() and getattr(est_cls, "_uses_binned_plane", False)):
+    when the learner bins through the plane (see :meth:`AutoML.fit`),
+    else the raw feature matrix."""
+    if not getattr(est_cls, "_uses_binned_plane", False):
         return data.X
-    plane = plane_for(data)
-    if not (plane.exact or plane.sketch):
-        return data.X
-    return plane.view(np.arange(data.n), ("all", data.n))
+    return plane_for(data).view(np.arange(data.n), ("all", data.n))
 
 
 class AutoML:

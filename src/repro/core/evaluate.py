@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..data.binned import BinnedDataset, plane_enabled, plane_for
-from ..data.dataset import Dataset, holdout_indices, kfold_indices
+from ..data.binned import BinnedDataset, plane_for
+from ..data.dataset import Dataset
 from ..metrics.registry import Metric
 from ..obs.trace import trace_span
 
@@ -245,14 +245,13 @@ def _plane_error(
     Split indices are memoized per (kind, n, k/ratio, seed); histogram
     learners get :class:`~repro.learners.histogram.BinnedMatrix` views
     whose codes are memoized per (row-subset, max_bins).  Both
-    memoizations are pure reuse — every array equals what the legacy
-    per-trial computation below produces, so errors are bit-for-bit
-    identical (golden-tested).
+    memoizations are pure reuse — at or below the plane's exact-binning
+    limit every array equals what a fresh per-trial split and in-learner
+    ``Binner`` would produce, so errors are bit-for-bit identical to
+    the pre-refactor fixture (``golden_trial_errors_prerefactor.json``).
     """
     data = plane.data
-    binnable = bool(getattr(estimator_cls, "_uses_binned_plane", False)) and (
-        plane.exact or plane.sketch
-    )
+    binnable = bool(getattr(estimator_cls, "_uses_binned_plane", False))
     if not binnable and getattr(data, "_codes_only", False):
         # a codes-only worker holds a stub feature matrix: running a
         # learner on it would silently fit garbage, so fail the trial
@@ -325,7 +324,6 @@ def evaluate_config(
     labels: np.ndarray | None = None,
     horizon: int = 1,
     seasonal_period: int | None = None,
-    use_binned_plane: bool | None = None,
 ) -> TrialOutcome:
     """Run one trial of χ = (estimator, config, s, r) and time it.
 
@@ -343,28 +341,17 @@ def evaluate_config(
     a fitted model (the final deployment model is retrained by the
     caller).
 
-    Holdout/CV trials normally route through the shared binned-data
-    plane (:mod:`repro.data.binned`): split indices and histogram bin
-    codes are memoized per dataset and reused across trials, with
-    bit-for-bit identical errors.  ``use_binned_plane`` overrides the
-    global :func:`~repro.data.binned.plane_enabled` toggle per call;
-    the legacy per-trial path below is kept verbatim both as the
-    fallback and as the equivalence baseline the golden tests compare
-    against.
+    Holdout/CV trials route through the shared binned-data plane
+    (:mod:`repro.data.binned`, see :func:`_plane_error`): split indices
+    and histogram bin codes are memoized per dataset and reused across
+    trials.  The golden tests pin the resulting errors against fixtures
+    captured before the plane existed.
     """
     if resampling not in ("cv", "holdout", "temporal"):
         raise ValueError(
             f"resampling must be cv|holdout|temporal, got {resampling!r}"
         )
     start = time.perf_counter()
-    if use_binned_plane is None:
-        use_binned_plane = plane_enabled()
-    plane = None
-    if use_binned_plane and resampling in ("cv", "holdout"):
-        plane = data if isinstance(data, BinnedDataset) else plane_for(data)
-    if isinstance(data, BinnedDataset):
-        data = data.data
-    rng = np.random.default_rng(seed)
     model = None
     failure = None
     span = trace_span(
@@ -372,62 +359,21 @@ def evaluate_config(
         learner=estimator_cls.__name__,
         resampling=resampling,
         sample_size=int(sample_size),
-        plane=plane is not None,
     )
     try:
         with span:
-            if plane is None and getattr(data, "_codes_only", False):
-                raise RuntimeError(
-                    "this worker only holds shipped bin codes (no raw "
-                    "features); the legacy non-plane path cannot run here"
-                )
             if resampling == "temporal":
                 error, model = _temporal_error(
                     data, estimator_cls, config, sample_size, metric,
                     n_splits, seed, train_time_limit, horizon,
                     seasonal_period,
                 )
-            elif plane is not None:
-                error, model = _plane_error(
-                    plane, estimator_cls, config, sample_size, resampling,
-                    metric, n_splits, holdout_ratio, seed, train_time_limit,
-                    labels,
-                )
-            elif resampling == "holdout":
-                with trace_span("trial.bin"):
-                    y_strat = data.y if data.is_classification else None
-                    tr, va = holdout_indices(data.n, holdout_ratio,
-                                             y=y_strat, rng=rng)
-                tr_used = tr[: min(int(sample_size), tr.size)]
-                with trace_span("trial.construct"):
-                    model = _make_estimator(estimator_cls, config, seed,
-                                            train_time_limit)
-                with trace_span("trial.fit"):
-                    model.fit(data.X[tr_used], data.y[tr_used])
-                error = _fold_error(model, data.X[va], data.y[va], metric,
-                                    data.task, labels)
             else:
-                sub = data.head(sample_size)
-                y_strat = sub.y if sub.is_classification else None
-                k = min(n_splits, sub.n)
-                per_fold_limit = (
-                    train_time_limit / k if train_time_limit is not None
-                    else None
+                error, model = _plane_error(
+                    plane_for(data), estimator_cls, config, sample_size,
+                    resampling, metric, n_splits, holdout_ratio, seed,
+                    train_time_limit, labels,
                 )
-                errors = []
-                with trace_span("trial.bin"):
-                    folds = list(kfold_indices(sub.n, k, y=y_strat, rng=rng))
-                for tr, va in folds:
-                    with trace_span("trial.construct"):
-                        model = _make_estimator(estimator_cls, config, seed,
-                                                per_fold_limit)
-                    with trace_span("trial.fit"):
-                        model.fit(sub.X[tr], sub.y[tr])
-                    errors.append(
-                        _fold_error(model, sub.X[va], sub.y[va], metric,
-                                    sub.task, labels)
-                    )
-                error = float(np.mean(errors))
     except KeyboardInterrupt:
         raise
     except Exception:

@@ -1,14 +1,7 @@
 """Data substrate: dataset container, generators, benchmark suite,
 selectivity-estimation workloads."""
 
-from .binned import (
-    BinnedDataset,
-    plane_enabled,
-    plane_for,
-    row_sample_crc,
-    set_plane_enabled,
-    warm_plane,
-)
+from .binned import BinnedDataset, plane_for, row_sample_crc, warm_plane
 from .bundling import BundledBinner, BundleLayout, find_bundles
 from .dataset import Dataset, holdout_indices, kfold_indices, stratified_shuffle
 from .generators import make_classification, make_regression
@@ -67,11 +60,9 @@ __all__ = [
     "make_table",
     "make_timeseries",
     "make_workload",
-    "plane_enabled",
     "plane_for",
     "row_sample_crc",
     "save_npz",
-    "set_plane_enabled",
     "seasonal_naive_cv_error",
     "seasonal_naive_forecast",
     "selectivity_to_dataset",

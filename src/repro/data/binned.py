@@ -18,9 +18,9 @@ indices per ``(kind, n, k/ratio, seed)`` and bin codes per
 internal ``Binner.fit_transform`` entirely.  Because the memoized binner
 is fit on *exactly* the rows the learner would have used (and the
 ``Binner`` draws nothing from its RNG below its subsample threshold),
-trial results are bit-for-bit identical to the unshared path — asserted
-by ``tests/core/test_binned_equivalence.py`` against pre-refactor
-goldens.
+trial results are bit-for-bit identical to binning inside every trial
+— asserted by ``tests/core/test_binned_equivalence.py`` against goldens
+captured before the plane existed.
 
 The sample-size schedule composes with the cache for free: under
 holdout, a sample of size ``s`` is a *prefix* of the fixed shuffled
@@ -28,14 +28,14 @@ training order, so its rows key is just ``("ho-tr", ratio, seed, s)``
 and the geometric schedule (s, 2s, 4s, ...) touches only ``O(log n)``
 distinct entries per ``max_bins``.
 
-``REPRO_BINNED_PLANE=0`` (or :func:`set_plane_enabled`) disables the
-plane globally — ``benchmarks/bench_hotpath.py`` uses the toggle to
-measure the before/after trials-per-second honestly in one process.
+Every holdout/CV trial takes this path.  Above
+:attr:`BinnedDataset.EXACT_ROW_LIMIT` rows the plane always serves the
+dataset-level sketch grid, with exclusive sparse columns bundled
+(:mod:`repro.data.bundling`).
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import weakref
 import zlib
@@ -58,15 +58,9 @@ from .dataset import Dataset, holdout_indices, kfold_indices
 __all__ = [
     "BinnedDataset",
     "plane_for",
-    "plane_enabled",
     "row_sample_crc",
-    "set_plane_enabled",
     "warm_plane",
 ]
-
-_ENV_FLAG = "REPRO_BINNED_PLANE"
-_enabled = os.environ.get(_ENV_FLAG, "1").lower() not in ("0", "false", "off")
-_flag_lock = threading.Lock()
 
 # plane cache traffic, aggregated across every plane instance in the
 # process (series objects bound once at import; inc() is lock+add)
@@ -87,34 +81,6 @@ _m_base_rows = REGISTRY.counter(
     "repro_plane_base_rows_binned_total",
     "Rows quantised by the sketch base binner (work actually done).",
 )
-
-
-def plane_enabled() -> bool:
-    """Whether the trial path routes through the shared binned plane."""
-    return _enabled
-
-
-def set_plane_enabled(on: bool) -> bool:
-    """Globally enable/disable the plane; returns the previous setting."""
-    global _enabled
-    with _flag_lock:
-        prev, _enabled = _enabled, bool(on)
-    return prev
-
-
-def _sketch_enabled() -> bool:
-    """Whether large datasets use the sketch grid (``REPRO_SKETCH_BINNING``,
-    default on).  Off, the plane serves raw float slices above the exact
-    limit, as it did before the sketch path existed."""
-    return os.environ.get("REPRO_SKETCH_BINNING", "1").lower() not in (
-        "0", "false", "off")
-
-
-def _bundling_enabled() -> bool:
-    """Whether the sketch grid bundles exclusive sparse columns
-    (``REPRO_FEATURE_BUNDLING``, default on)."""
-    return os.environ.get("REPRO_FEATURE_BUNDLING", "1").lower() not in (
-        "0", "false", "off")
 
 
 def row_sample_crc(data: Dataset) -> int:
@@ -251,8 +217,8 @@ class BinnedDataset:
     every later trial.
     """
 
-    #: up to this row count the plane pre-bins *exactly* as the legacy
-    #: in-learner path would (a fresh ``Binner`` per (rows, max_bins)),
+    #: up to this row count the plane pre-bins *exactly* as a learner's
+    #: own binning would (a fresh ``Binner`` per (rows, max_bins)),
     #: so trial errors are bit-for-bit frozen against the goldens.
     #: Above it, per-fold refits are the scaling bottleneck and the
     #: plane switches to the dataset-level sketch grid below — an
@@ -322,9 +288,7 @@ class BinnedDataset:
     def sketch(self) -> bool:
         """Whether this plane serves dataset-level sketch-grid codes
         (large data, or a worker that adopted shipped codes)."""
-        if self._force_sketch:
-            return True
-        return _sketch_enabled() and not self.exact
+        return not self.exact
 
     def stats(self) -> dict:
         """Cache occupancy/hit counters + byte footprint (observability,
@@ -494,12 +458,9 @@ class BinnedDataset:
                 ]
                 defaults = np.asarray([int(np.argmax(c)) for c in counts],
                                       dtype=np.int64)
-                bundles: list[list[int]] = []
-                if _bundling_enabled():
-                    bundles = find_bundles(sk, base.n_bins_, defaults)
-                    if not every_row:
-                        bundles = self._verify_bundles(bundles, base,
-                                                       defaults)
+                bundles = find_bundles(sk, base.n_bins_, defaults)
+                if not every_row:
+                    bundles = self._verify_bundles(bundles, base, defaults)
             self._sketch_state = {
                 "base": base, "counts": counts, "defaults": defaults,
                 "bundles": bundles,
@@ -747,38 +708,33 @@ def warm_plane(
 
     ``sample_size`` mirrors the controller's initial sample size (the
     fidelity the first trials run at); ``None`` warms the full training
-    slice.  No-op (returns None) when the plane is disabled; split
-    warming still happens for datasets too large for exact pre-binning.
+    slice.  Returns the warmed plane.
     """
-    if not plane_enabled():
-        return None
     if max_bins is None:
         max_bins = _default_warm_bins()
     plane = plane_for(data)
     if resampling == "holdout":
         tr, va = plane.holdout_split(holdout_ratio, seed)
         s = tr.size if sample_size is None else min(int(sample_size), tr.size)
-        if plane.exact or plane.sketch:
-            tr_key = ("ho-tr", float(holdout_ratio), int(seed), int(s))
-            va_key = ("ho-va", float(holdout_ratio), int(seed))
-            for mb in max_bins:
-                _, _, binner = plane.binned_for(tr[:s], tr_key, mb)
-                plane.transform_with(binner, va, va_key)
+        tr_key = ("ho-tr", float(holdout_ratio), int(seed), int(s))
+        va_key = ("ho-va", float(holdout_ratio), int(seed))
+        for mb in max_bins:
+            _, _, binner = plane.binned_for(tr[:s], tr_key, mb)
+            plane.transform_with(binner, va, va_key)
     elif resampling == "cv":
         n_sub = (
             data.n if sample_size is None else min(int(sample_size), data.n)
         )
         k = min(int(n_splits), n_sub)
         folds = plane.kfold_split(n_sub, k, seed)
-        if plane.exact or plane.sketch:
-            for i, (tr, va) in enumerate(folds):
-                for mb in max_bins:
-                    _, _, binner = plane.binned_for(
-                        tr, ("cv-tr", n_sub, k, int(seed), i), mb
-                    )
-                    plane.transform_with(
-                        binner, va, ("cv-va", n_sub, k, int(seed), i)
-                    )
+        for i, (tr, va) in enumerate(folds):
+            for mb in max_bins:
+                _, _, binner = plane.binned_for(
+                    tr, ("cv-tr", n_sub, k, int(seed), i), mb
+                )
+                plane.transform_with(
+                    binner, va, ("cv-va", n_sub, k, int(seed), i)
+                )
     return plane
 
 

@@ -56,7 +56,7 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from ..core.evaluate import TrialOutcome
-from ..data.binned import BinnedDataset, plane_enabled, plane_for
+from ..data.binned import BinnedDataset, plane_for
 from ..data.dataset import Dataset
 from ..faults import InjectedShmError, active as active_fault_plan, \
     install as install_fault_plan
@@ -173,8 +173,8 @@ def _init_worker(payload: dict) -> None:
         # matrix and y; the float feature matrix never crosses.  X is a
         # zero-byte broadcast stub (a single NaN strided to (n, d)) that
         # only carries the shape — every trial gathers from the adopted
-        # codes, and evaluate_config fails loudly if anything tries to
-        # read raw features
+        # codes, and a trial whose learner would read raw features fails
+        # loudly (see evaluate._plane_error)
         arrays = {}
         for field in ("codes", "y"):
             meta = payload[field]
@@ -334,10 +334,10 @@ class ProcessExecutor(TrialExecutor):
         the float64 feature matrix (~8x fewer bytes; workers then can
         only run binned-plane-aware learners), ``False`` always ships
         floats, and ``None`` (default) ships codes automatically when
-        the dataset is past the exact-binning limit, the plane is
-        enabled, and the warmup context says every searched learner is
-        plane-aware.  Object-dtype labels always fall back to the
-        pickled-dataset init regardless."""
+        the dataset is past the exact-binning limit and the warmup
+        context says every searched learner is plane-aware.
+        Object-dtype labels always fall back to the pickled-dataset
+        init regardless."""
         super().__init__(data, n_workers=n_workers)
         self._mp_context = mp_context
         self._warmup = dict(warmup) if warmup else None
@@ -394,8 +394,6 @@ class ProcessExecutor(TrialExecutor):
     def _resolve_ship_codes(self, data: Dataset, y: np.ndarray) -> bool:
         """Decide the codes-vs-floats plane (see ``__init__``)."""
         if self._ship_codes is False or y.dtype.hasobject:
-            return False
-        if not plane_enabled():
             return False
         if self._ship_codes is True:
             return True

@@ -175,9 +175,9 @@ def split_importances(binner, trees) -> np.ndarray:
 class SketchBinner(Binner):
     """Quantile binner whose edges come from a *seeded row sketch*.
 
-    The base :class:`Binner` also subsamples huge inputs, but from an
-    RNG the legacy trial path seeds per trial — two fits over different
-    row subsets disagree.  The sketch binner instead draws its rows as a
+    The base :class:`Binner` also subsamples huge inputs, but it draws
+    from whatever rows one fit is given — two fits over different row
+    subsets disagree.  The sketch binner instead draws its rows as a
     pure function of ``(n, sketch_size, seed)``, so the fitted edges are
     a property of the *dataset*: any process that fits it (or receives
     it pickled) maps every row subset to byte-identical codes.  That

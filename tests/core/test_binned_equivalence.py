@@ -11,7 +11,7 @@ numpy — the golden matrix):
    path reproduces ``golden_trial_errors_prerefactor.json`` — errors
    captured on the commit *before* the plane refactor landed and never
    regenerated, proving plane + kernels are pure reuse;
-3. plane-on and plane-off agree with each other on every case, always.
+3. span tracing is timing-only: the matrix is bit-identical with it on.
 
 No fixture was re-pinned for the native kernels: the same hex floats
 must come out with the C extension on and off.
@@ -31,7 +31,7 @@ import pytest
 import repro.learners.tree as tree_mod
 from repro.core import evaluate as evaluate_mod
 from repro.core.evaluate import evaluate_config
-from repro.data import plane_enabled, plane_for, set_plane_enabled
+from repro.data import plane_for
 from repro.data.binned import BinnedDataset
 from repro.data.dataset import Dataset
 from repro.learners import Binner, LGBMLikeClassifier
@@ -65,12 +65,8 @@ def native_mode(request):
     set_native_enabled(prev)
 
 
-def run_all(plane: bool) -> dict:
-    prev = set_plane_enabled(plane)
-    try:
-        return {key: float(run().error).hex() for key, run in golden_cases()}
-    finally:
-        set_plane_enabled(prev)
+def run_all() -> dict:
+    return {key: float(run().error).hex() for key, run in golden_cases()}
 
 
 class TestGoldenEquivalence:
@@ -88,20 +84,16 @@ class TestGoldenEquivalence:
                 assert f"{name}|forecast|temporal" in keys
 
     def test_default_path_matches_pinned_goldens(self, native_mode):
-        assert run_all(plane=True) == GOLDEN
-
-    def test_plane_off_matches_plane_on(self, native_mode):
-        assert run_all(plane=False) == run_all(plane=True)
+        assert run_all() == GOLDEN
 
     def test_tracing_does_not_perturb_goldens(self, native_mode):
         """Span tracing must be timing-only: the full golden matrix is
-        bit-identical with tracing enabled, plane on and off."""
+        bit-identical with tracing enabled."""
         from repro.obs.trace import clear_spans, set_tracing
 
         prev = set_tracing(True)
         try:
-            assert run_all(plane=True) == GOLDEN
-            assert run_all(plane=False) == GOLDEN
+            assert run_all() == GOLDEN
         finally:
             set_tracing(prev)
             clear_spans()
@@ -113,12 +105,7 @@ class TestGoldenEquivalence:
         reordering held off, the plane path is bit-for-bit identical to
         the pre-refactor code for every learner x task x resampling —
         under either kernel implementation."""
-        assert run_all(plane=True) == PRE_REFACTOR
-
-    def test_legacy_path_still_reproduces_prerefactor_errors(
-        self, no_subtraction, native_mode
-    ):
-        assert run_all(plane=False) == PRE_REFACTOR
+        assert run_all() == PRE_REFACTOR
 
 
 class TestPlaneCaching:
@@ -145,7 +132,7 @@ class TestPlaneCaching:
             out = evaluate_config(
                 data, LGBMLikeClassifier, {"tree_num": 4, "learning_rate": lr},
                 sample_size=200, resampling="cv", metric=metric, n_splits=3,
-                seed=1, labels=labels, use_binned_plane=True,
+                seed=1, labels=labels,
             )
             assert np.isfinite(out.error)
         stats = plane_for(data).stats()
@@ -205,15 +192,6 @@ class TestPlaneCaching:
         for mb in (8, 16, 32):
             plane.binned_for(np.arange(100), ("rows", 100), mb)
         assert len(plane._binned) == 1  # evicted down to the floor
-
-    def test_toggle_round_trip(self):
-        prev = set_plane_enabled(False)
-        try:
-            assert plane_enabled() is False
-            assert set_plane_enabled(True) is False
-            assert plane_enabled() is True
-        finally:
-            set_plane_enabled(prev)
 
     def test_binned_matrix_is_array_like(self):
         data = self.make_data()

@@ -17,7 +17,12 @@ lossless.  The contract tested here:
 import numpy as np
 import pytest
 
-from repro.data import OneHotEncoder, make_classification, plane_for
+from repro.data import (
+    OneHotEncoder,
+    make_classification,
+    make_regression,
+    plane_for,
+)
 from repro.data.binned import BinnedDataset
 from repro.data.bundling import (
     MAX_BUNDLE_CODES,
@@ -260,15 +265,17 @@ class TestPlaneIntegration:
         via_float = binner.transform(data.X[rows])
         assert via_plane.tobytes() == via_float.tobytes()
 
-    def test_bundling_toggle_off(self, monkeypatch):
+    def test_dense_data_has_no_bundles(self, monkeypatch):
+        """No exclusive columns, no bundles: the sketch grid serves a
+        plain binner with one column per feature at every width."""
         monkeypatch.setattr(BinnedDataset, "EXACT_ROW_LIMIT", 100)
-        monkeypatch.setenv("REPRO_FEATURE_BUNDLING", "0")
-        data = self._onehot_dataset(seed=4)
+        data = make_regression(2000, 6)
         plane = plane_for(data)
         assert plane.sketch_state()["bundles"] == []
-        binner = plane.global_binner(255)
-        assert not isinstance(binner, BundledBinner)
-        assert len(binner.n_bins_) == data.d
+        for max_bins in (255, 64):
+            binner = plane.global_binner(max_bins)
+            assert not isinstance(binner, BundledBinner)
+            assert len(binner.n_bins_) == 6
 
     def test_trial_runs_on_bundled_plane(self, monkeypatch):
         from repro.exec import SerialExecutor, TrialSpec
