@@ -13,6 +13,7 @@ import argparse
 import sys
 
 from ..data.suite import SUITE, suite_names
+from ..exec.base import BACKENDS
 from .harness import ComparisonHarness, default_systems
 from .reporting import format_radar_table
 
@@ -38,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-workers", type=int, default=1,
                    help="concurrent trials for FLAML's executor (default 1)")
     p.add_argument("--backend", default=None,
-                   choices=["serial", "thread", "process", "virtual"],
+                   choices=[*BACKENDS, "virtual"],
                    help="FLAML trial-execution backend (default: serial, "
                         "or thread when --n-workers > 1)")
     p.add_argument("--list", action="store_true",

@@ -36,6 +36,7 @@ import numpy as np
 from .core.automl import AutoML
 from .data.io import from_csv
 from .data.suite import SUITE, suite_names
+from .exec.base import BACKENDS
 
 __all__ = ["build_parser", "main"]
 
@@ -73,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--n-workers", type=int, default=1,
                      help="concurrent trials (default 1: sequential search)")
     fit.add_argument("--backend", default=None,
-                     choices=["serial", "thread", "process", "virtual"],
+                     choices=[*BACKENDS, "virtual"],
                      help="trial-execution backend (default: serial, or "
                           "thread when --n-workers > 1)")
     fit.add_argument("--retries", type=int, default=0,
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="wall-clock budget for the drill, e.g. 30s, "
                             "2m (default 30s)")
     chaos.add_argument("--backend", default="process",
-                       choices=["serial", "thread", "process"],
+                       choices=BACKENDS,
                        help="trial-execution backend to stress "
                             "(default process)")
     chaos.add_argument("--skip-serving", action="store_true",

@@ -235,10 +235,12 @@ class AutoML:
         (:class:`~repro.core.controller.SearchController`): it keeps up
         to ``n_workers`` trials in flight on the chosen
         :mod:`repro.exec` substrate — ``"serial"`` (the default for one
-        worker), ``"thread"`` (the default for more) or ``"process"``,
-        which gives true multi-core parallelism but requires picklable
-        learners/metrics — and commits them in launch order, so racy
-        completion order never changes the trial log.
+        worker), ``"thread"`` (the default for more: a private
+        ``SharedWorkerPool`` of ``n_workers`` threads, the same pool the
+        fit service multiplexes) or ``"process"``, which gives true
+        multi-core parallelism but requires picklable learners/metrics
+        — and commits them in launch order, so racy completion order
+        never changes the trial log.
         ``backend="virtual"`` is opt-in: it simulates ``n_workers``
         workers on a virtual clock, running each trial inline and
         committing it at its virtual finish time.  Only the one-worker
@@ -257,8 +259,9 @@ class AutoML:
         preprocessed) :class:`~repro.data.dataset.Dataset` and must
         return a :class:`~repro.exec.TrialExecutor` — e.g. a
         ``SharedWorkerPool.lease(...)`` so many concurrent ``fit`` calls
-        multiplex one pool (the multi-tenant fit service).  The executor
-        names the backend, and ``search_result.backend`` reports the
+        multiplex one pool (the multi-tenant fit service; a lease names
+        itself ``"thread"``).  The executor names the backend, and
+        ``search_result.backend`` reports the
         substrate the search finished on (after any degradation down the
         process → thread → serial ladder); ``stop_event`` (a
         ``threading.Event``) cancels the search cooperatively between

@@ -70,7 +70,7 @@ _ACCEPTED_EXTRAS_LIMIT = 128
 #: strong references to every class ever evaluated, which leaked each
 #: dynamically defined custom learner (test suites generate thousands).
 _accepted_extras_cache: OrderedDict[int, tuple] = OrderedDict()
-#: guards the cache against ThreadExecutor worker threads and the
+#: guards the cache against in-process pool worker threads and the
 #: weakref eviction callbacks; reentrant because a GC-triggered callback
 #: can run on the very thread that already holds the lock
 _accepted_extras_lock = threading.RLock()

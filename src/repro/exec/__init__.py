@@ -4,10 +4,13 @@ The search layer describes trials (:class:`TrialSpec`) and this package
 runs them: a :class:`TrialExecutor` backend picks the substrate, a
 :class:`TrialCache` makes repeated proposals free, and
 :class:`ExecutionEngine` wraps both with crash isolation and per-trial
-time limits.  See README.md §"Execution engine" for the design.
+time limits.  One thread pool, :class:`SharedWorkerPool`, serves both
+the thread backend (a private pool, one lease) and the fit service's
+tenants.  See README.md §"Execution engine" for the design.
 """
 
 from .base import (
+    BACKENDS,
     FutureHandle,
     ImmediateHandle,
     PoolBrokenError,
@@ -22,16 +25,15 @@ from .engine import EngineHandle, ExecutionEngine, RetryPolicy
 from .multiplex import LeasedExecutor, SharedWorkerPool, TicketHandle
 from .process import ProcessExecutor
 from .serial import SerialExecutor
-from .threaded import ThreadExecutor
 
 __all__ = [
+    "BACKENDS",
     "TrialSpec",
     "TrialHandle",
     "ImmediateHandle",
     "FutureHandle",
     "TrialExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "SharedWorkerPool",
     "LeasedExecutor",

@@ -4,10 +4,11 @@ The search controller (``repro.core.controller``) describes each
 trial as a :class:`TrialSpec` — the χ = (learner, hyperparameters,
 sample size, resampling) of the paper plus the evaluation context — and
 submits it to a :class:`TrialExecutor`.  The executor decides *where*
-the trial runs:
+the trial runs (:data:`BACKENDS` names them):
 
 * :class:`~repro.exec.serial.SerialExecutor` — inline, in the caller;
-* :class:`~repro.exec.threaded.ThreadExecutor` — a thread pool;
+* :class:`~repro.exec.multiplex.LeasedExecutor` — a thread pool shared
+  by leases (the thread backend is a private pool's one lease);
 * :class:`~repro.exec.process.ProcessExecutor` — a process pool (true
   multi-core parallelism with crash isolation).
 
@@ -36,6 +37,7 @@ from ..faults import InjectedCrash, InjectedFault, fault_hook
 from ..metrics.registry import Metric
 
 __all__ = [
+    "BACKENDS",
     "TrialSpec",
     "TrialHandle",
     "ImmediateHandle",
@@ -47,11 +49,16 @@ __all__ = [
 ]
 
 
+#: the executor backends :func:`make_executor` builds, by name
+BACKENDS = ("serial", "thread", "process")
+
+
 class PoolBrokenError(RuntimeError):
     """An executor's worker substrate is broken beyond its own repair
     budget (e.g. a process pool that keeps dying on rebuild).  The
     engine reacts by degrading to the next backend down the
-    process → thread → serial ladder."""
+    process → thread → serial ladder, whose thread rung is a one-lease
+    :class:`~repro.exec.multiplex.SharedWorkerPool`."""
 
 
 def _freeze(value):
@@ -273,26 +280,28 @@ class TrialExecutor(abc.ABC):
 
 def make_executor(backend: str, data: Dataset, n_workers: int = 1,
                   warmup: dict | None = None) -> TrialExecutor:
-    """Build an executor by name: 'serial' | 'thread' | 'process'.
+    """Build an executor by name, one of :data:`BACKENDS`.
 
+    ``"thread"`` is the one lease of a private ``n_workers``-slot
+    :class:`~repro.exec.multiplex.SharedWorkerPool`, which the lease
+    stops, without waiting on abandoned trials, when it shuts down.
     ``warmup`` is the plane-warmup context for process workers (see
     :class:`~repro.exec.process.ProcessExecutor`); the in-process
     backends ignore it — they share the caller's plane, which the first
     trial warms inline.
     """
+    from .multiplex import SharedWorkerPool
     from .process import ProcessExecutor
     from .serial import SerialExecutor
-    from .threaded import ThreadExecutor
 
-    factory = {
-        "serial": SerialExecutor,
-        "thread": ThreadExecutor,
-        "process": ProcessExecutor,
-    }.get(backend)
-    if factory is None:
+    if backend not in BACKENDS:
         raise ValueError(
-            f"unknown backend {backend!r}; known: serial, thread, process"
+            f"unknown backend {backend!r}; known: {', '.join(BACKENDS)}"
         )
-    if factory is ProcessExecutor:
-        return factory(data, n_workers=n_workers, warmup=warmup)
-    return factory(data, n_workers=n_workers)
+    if backend == "process":
+        return ProcessExecutor(data, n_workers=n_workers, warmup=warmup)
+    if backend == "serial":
+        return SerialExecutor(data, n_workers=n_workers)
+    lease = SharedWorkerPool(n_workers).lease(data)
+    lease.owns_pool = True
+    return lease

@@ -23,6 +23,7 @@ every scheduler wants regardless of backend:
   process pool that dies on every rebuild) is swapped for the next
   backend down the ``process → thread → serial`` ladder with one loud
   log line, mirroring the native→numpy kernel degradation contract.
+  Every lease is a thread backend, so a fit-service lease drops to serial.
 """
 
 from __future__ import annotations

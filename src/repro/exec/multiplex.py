@@ -18,16 +18,16 @@ A weighted round-robin dispatcher then grants pool slots across leases:
 * **per-search determinism survives** — tickets of one lease dispatch
   in FIFO order and the controllers commit outcomes in launch order, so
   a search's trial log is independent of how its trials interleave with
-  other tenants' (the N-search equivalence tests pin this down).
+  other tenants' (the determinism oracle's ``lease-mux`` cells pin it).
 
 The substrate is a thread pool running
 :func:`~repro.exec.base.run_spec` in-process: unlike the process
 backend — whose workers are bound to one shm-exported dataset at fork —
 threads can serve many tenants' datasets concurrently, and the learner
-hot loops release the GIL in numpy/native kernels.  A lease-backed
-engine still degrades *per search*: the ladder swaps in a private
-serial executor for that search only, leaving the pool and every other
-lease untouched.
+hot loops release the GIL in numpy/native kernels.  The thread backend
+is a private pool with one lease.  A lease-backed engine still degrades
+*per search*: the ladder swaps in a private serial executor for that
+search only, leaving the pool and every other lease untouched.
 
 Budget accounting (``trial_seconds``) is tracked per lease; enforcement
 — refusing new searches for an over-budget tenant — lives one layer up
@@ -44,14 +44,14 @@ from concurrent.futures import Future, ThreadPoolExecutor
 
 from ..data.dataset import Dataset
 from ..obs.metrics import REGISTRY
-from .base import TrialExecutor, TrialHandle, TrialSpec, run_spec
+from .base import FutureHandle, TrialExecutor, TrialSpec, run_spec
 
 __all__ = ["LeasedExecutor", "SharedWorkerPool", "TicketHandle"]
 
 _log = logging.getLogger("repro.exec")
 
 
-class TicketHandle(TrialHandle):
+class TicketHandle(FutureHandle):
     """Handle for a trial queued (or running) on the shared pool.
 
     ``result`` blocks through both phases — waiting for a slot grant and
@@ -60,13 +60,8 @@ class TicketHandle(TrialHandle):
     """
 
     def __init__(self, ticket: "_Ticket") -> None:
+        super().__init__(ticket.future)
         self._ticket = ticket
-
-    def result(self, timeout: float | None = None):
-        return self._ticket.future.result(timeout=timeout)
-
-    def done(self) -> bool:
-        return self._ticket.future.done()
 
     def cancel(self) -> bool:
         """True cancellation while still queued (the slot is never
@@ -95,10 +90,12 @@ class LeasedExecutor(TrialExecutor):
     ``submit`` queues a ticket and the pool's dispatcher grants slots in
     weighted round-robin order.  ``shutdown`` releases the lease —
     queued tickets are cancelled, running trials finish, and the pool
-    lives on for the other tenants.
+    lives on for the other tenants — unless the lease owns the pool (the
+    thread backend), which then stops without waiting on the trials
+    its engine abandoned.
     """
 
-    backend = "shared"
+    backend = "thread"
 
     def __init__(self, pool: "SharedWorkerPool", data: Dataset,
                  tenant: str | None, weight: int,
@@ -115,12 +112,17 @@ class LeasedExecutor(TrialExecutor):
         self.trial_seconds = 0.0
         self.queue: deque[_Ticket] = deque()
         self.closed = False
+        #: set by ``make_executor("thread")``: the pool stops with it
+        self.owns_pool = False
 
     def submit(self, spec: TrialSpec) -> TicketHandle:
         return self.pool._submit(self, spec)
 
     def shutdown(self) -> None:
-        self.pool.release(self)
+        if self.owns_pool:
+            self.pool._close()
+        else:
+            self.pool.release(self)
 
 
 class SharedWorkerPool:
@@ -139,7 +141,7 @@ class SharedWorkerPool:
         #: the work function, injectable for scheduler tests
         self._run_fn = run_fn if run_fn is not None else run_spec
         self._pool = ThreadPoolExecutor(
-            max_workers=self.n_workers, thread_name_prefix="repro-fit-pool"
+            max_workers=self.n_workers, thread_name_prefix="repro-pool"
         )
         self._lock = threading.Lock()
         self._ring: list[LeasedExecutor] = []
@@ -284,19 +286,22 @@ class SharedWorkerPool:
                 ],
             }
 
-    def shutdown(self) -> None:
-        """Release every lease and stop the worker threads (running
-        trials finish first).  Idempotent."""
+    def _close(self) -> None:
+        """Release every lease and stop the worker threads without
+        waiting on running trials.  Idempotent."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             leases = list(self._ring)
         for lease in leases:
-            # release() tolerates the closed pool: it only flips flags
-            # and cancels queued tickets
-            lease.closed = False  # re-arm so release() does the work
             self.release(lease)
+        self._pool.shutdown(wait=False)
+
+    def shutdown(self) -> None:
+        """Release every lease and stop the worker threads (running
+        trials finish first).  Idempotent."""
+        self._close()
         self._pool.shutdown(wait=True)
 
     def __enter__(self) -> "SharedWorkerPool":

@@ -266,6 +266,9 @@ class FitService:
             holder["lease"] = lease
             return lease
 
+        # the terminal status is published last, after the charge, so a
+        # poller that sees it also sees the tenant's spend
+        status = "failed"
         try:
             automl = AutoML(seed=p["seed"])
             automl.fit(
@@ -281,9 +284,8 @@ class FitService:
             )
         except Exception as exc:
             if job.stop_event.is_set():
-                job.status = "cancelled"
+                status = "cancelled"
             else:
-                job.status = "failed"
                 job.error = f"{type(exc).__name__}: {exc}"
                 _log.warning("fit job %s (%s.%s) failed: %s", job.job_id,
                              job.tenant, job.name, job.error)
@@ -299,7 +301,7 @@ class FitService:
             if job.stop_event.is_set():
                 # a cancel that raced completion: keep the model out of
                 # the registry, the tenant asked for it to stop
-                job.status = "cancelled"
+                status = "cancelled"
             else:
                 try:
                     if self.registry is not None:
@@ -310,9 +312,8 @@ class FitService:
                                       "job_id": job.job_id,
                                       "display_name": job.name},
                         )
-                    job.status = "done"
+                    status = "done"
                 except Exception as exc:  # registry write failed
-                    job.status = "failed"
                     job.error = f"{type(exc).__name__}: {exc}"
         finally:
             lease = holder.get("lease")
@@ -323,6 +324,7 @@ class FitService:
                 job.trial_seconds = time.time() - job.started_unix
             job.finished_unix = time.time()
             self._charge(job.tenant, job.trial_seconds)
+            job.status = status
             self._job_done(job)
 
     def _job_done(self, job: FitJob) -> None:

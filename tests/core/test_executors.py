@@ -1,6 +1,8 @@
 """Controller-level tests of the pluggable execution engine: serial vs.
-virtual-parallel equivalence, trial caching on search results, and real
-thread/process-backed searches through the public API."""
+one-worker virtual equivalence, trial caching on search results, and
+real thread-backed searches through the public API.  Trial-log
+determinism across substrates, fault plans and kernel modes is the
+oracle in ``test_schedule_pins.py``."""
 
 import numpy as np
 import pytest
@@ -82,62 +84,6 @@ class TestSerialParallelEquivalence:
         assert sequential.best_error == parallel.best_error
         assert sequential.best_learner == parallel.best_learner
 
-    def test_equivalence_holds_under_injected_crashes(self, data, metric,
-                                                      monkeypatch):
-        """Fault decisions are pure functions of (plan seed, site, trial
-        identity, attempt) — never of scheduling — so a faulted search
-        with retries produces the same trial log, the same per-trial
-        attempt counts, and the same best answer on the serial and the
-        virtual-parallel substrate."""
-        from repro.exec import RetryPolicy
-        from repro.faults import FaultPlan, install
-
-        real_run_spec = serial_mod.run_spec
-
-        def deterministic_cost(d, spec):
-            out = real_run_spec(d, spec)
-            return TrialOutcome(
-                error=out.error,
-                cost=1e-3 * spec.sample_size * (1 + len(spec.config)),
-                model=out.model, failure=out.failure,
-            )
-
-        monkeypatch.setattr(serial_mod, "run_spec", deterministic_cost)
-        kw = dict(
-            time_budget=1e6,
-            seed=3,
-            init_sample_size=100,
-            resampling_override="holdout",
-            trial_cache=False,
-            retry_policy=RetryPolicy(max_attempts=3, backoff_base=0.0,
-                                     jitter=0.0),
-        )
-        plan_spec = {"seed": 0, "rules": [
-            {"site": "worker.crash", "probability": 0.3},
-        ]}
-
-        def faulted(controller_cls, **extra):
-            prev = install(FaultPlan.from_spec(plan_spec))
-            try:
-                return controller_cls(
-                    data, _learners(("lgbm", "rf", "lrl1")), metric,
-                    **kw, **extra,
-                ).run()
-            finally:
-                install(prev)
-
-        sequential = faulted(SearchController,
-                             executor=SerialExecutor(data), max_iters=12)
-        parallel = faulted(SearchController,
-                           n_workers=1, backend="virtual", max_iters=12)
-        attempts = [t.attempts for t in sequential.trials]
-        assert sequential.n_trials == parallel.n_trials == 12
-        assert _log_fields(sequential) == _log_fields(parallel)
-        assert attempts == [t.attempts for t in parallel.trials]
-        assert sum(attempts) > 12  # the plan really injected crashes
-        assert sequential.best_error == parallel.best_error
-        assert sequential.best_learner == parallel.best_learner
-
 
 class _TinyGridLearner(LGBMLikeClassifier):
     """One integer hyperparameter with 3 values: FLOW2's unit-cube steps
@@ -215,29 +161,6 @@ class TestTrialCacheOnSearchResult:
 
 
 class TestRealBackendsThroughAutoML:
-    def test_process_backend_acceptance(self):
-        """AutoML.fit(n_workers=2, backend='process') completes a search
-        on a generator dataset with a reproducible trial log."""
-        d = make_classification(600, 6, class_sep=1.2, seed=2, name="gen")
-        logs = []
-        for _ in range(2):
-            am = AutoML(seed=0, init_sample_size=150)
-            am.fit(
-                d.X, d.y, task="classification",
-                time_budget=30.0, max_iters=6,
-                n_workers=2, backend="process",
-                estimator_list=["lgbm"],
-                use_sampling=False,  # proposals independent of trial timing
-                resampling="holdout",
-                cv_instance_threshold=0,
-            )
-            res = am.search_result
-            assert res.backend == "process" and res.n_workers == 2
-            assert res.n_trials == 6
-            assert np.isfinite(res.best_error)
-            logs.append(_log_fields(res))
-        assert logs[0] == logs[1]  # same seed -> same trial log
-
     def test_thread_backend_fit_predicts(self, data):
         am = AutoML(seed=1, init_sample_size=150)
         am.fit(

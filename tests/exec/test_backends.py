@@ -9,10 +9,11 @@ from repro.core.evaluate import TrialOutcome, evaluate_config
 from repro.core.registry import DEFAULT_LEARNERS
 from repro.data import make_classification
 from repro.exec import (
+    BACKENDS,
     ExecutionEngine,
+    LeasedExecutor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     TrialCache,
     TrialSpec,
     make_executor,
@@ -57,8 +58,10 @@ class CrashingLearner(LGBMLikeClassifier):
 class SleepyLearner(LGBMLikeClassifier):
     """Learner that ignores its advisory limit and sleeps."""
 
+    NAP = 2.0
+
     def fit(self, X, y):
-        time.sleep(1.0)
+        time.sleep(self.NAP)
         return super().fit(X, y)
 
 
@@ -81,16 +84,27 @@ class TestSerialExecutor:
         assert out.error == direct.error
 
 
-class TestThreadExecutor:
+class TestThreadBackend:
     def test_concurrent_submissions(self, data, metric):
-        with ThreadExecutor(data, n_workers=2) as ex:
+        with make_executor("thread", data, n_workers=2) as ex:
             handles = [ex.submit(make_spec(metric, seed=s)) for s in range(4)]
             outs = [h.result(timeout=30) for h in handles]
         assert all(np.isfinite(o.error) for o in outs)
 
     def test_worker_count_validated(self, data):
         with pytest.raises(ValueError):
-            ThreadExecutor(data, n_workers=0)
+            make_executor("thread", data, n_workers=0)
+
+    def test_one_lease_owns_its_pool(self, data, metric):
+        """The thread backend is the only lease of a private pool, and
+        shutting the lease down stops that pool."""
+        ex = make_executor("thread", data, n_workers=2)
+        assert ex.pool.n_workers == 2
+        assert len(ex.pool.stats()["leases"]) == 1
+        ex.shutdown()
+        with pytest.raises(RuntimeError, match="shut down"):
+            ex.pool.lease(data)
+        ex.shutdown()  # idempotent
 
 
 class TestProcessExecutor:
@@ -119,15 +133,17 @@ class TestMakeExecutor:
     def test_factory_backends(self, data):
         assert isinstance(make_executor("serial", data), SerialExecutor)
         th = make_executor("thread", data, n_workers=2)
-        assert isinstance(th, ThreadExecutor) and th.n_workers == 2
+        assert isinstance(th, LeasedExecutor) and th.n_workers == 2
+        assert th.backend == "thread"
         th.shutdown()
         pr = make_executor("process", data, n_workers=2)
         assert isinstance(pr, ProcessExecutor)
         pr.shutdown()
 
     def test_unknown_backend(self, data):
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(ValueError, match="unknown backend") as err:
             make_executor("gpu", data)
+        assert str(err.value).endswith("known: " + ", ".join(BACKENDS))
 
 
 class TestTrialCache:
@@ -183,7 +199,7 @@ class TestExecutionEngine:
         spec = make_spec(metric, estimator_cls=SleepyLearner,
                          train_time_limit=0.01)
         engine = ExecutionEngine(
-            ThreadExecutor(data, n_workers=1), cache=TrialCache(),
+            make_executor("thread", data, 1), cache=TrialCache(),
             trial_time_limit=0.05,
         )
         out = engine.run(spec)
@@ -194,11 +210,27 @@ class TestExecutionEngine:
         spec = make_spec(metric, estimator_cls=SleepyLearner,
                          train_time_limit=0.01)
         cache = TrialCache()
-        engine = ExecutionEngine(ThreadExecutor(data, n_workers=1),
+        engine = ExecutionEngine(make_executor("thread", data, 1),
                                  cache=cache, trial_time_limit=0.05)
         engine.run(spec)
         engine.shutdown()
         assert len(cache) == 0
+
+    def test_abandoned_trial_does_not_delay_shutdown(self, data, metric):
+        """The thread backend cannot stop a running trial; the engine
+        abandons it at the limit, and shutting down does not wait on
+        it."""
+        spec = make_spec(metric, estimator_cls=SleepyLearner,
+                         train_time_limit=0.01)
+        engine = ExecutionEngine(make_executor("thread", data, 1),
+                                 cache=None, trial_time_limit=0.05)
+        t0 = time.perf_counter()
+        handle = engine.submit(spec)
+        out = handle.outcome(timeout=engine.trial_time_limit)
+        assert out.error == np.inf and handle.timed_out
+        assert not handle.worker_done()  # the nap goes on
+        engine.shutdown()
+        assert time.perf_counter() - t0 < SleepyLearner.NAP / 2
 
     def test_broken_submit_becomes_failed_trial(self, data, metric):
         class ExplodingExecutor(SerialExecutor):

@@ -1,9 +1,13 @@
-"""SharedWorkerPool scheduling semantics, isolated from real training.
+"""SharedWorkerPool scheduling semantics, mostly isolated from training.
 
-The pool's ``run_fn`` is injectable, so these tests drive the dispatcher
-with sentinel datasets/specs and observe the exact grant order: weighted
-round-robin fairness, per-lease concurrency caps, cancellation, lease
-release, and pool lifecycle.
+The pool's ``run_fn`` is injectable, so most of these tests drive the
+dispatcher with sentinel datasets/specs and observe the exact grant
+order: weighted round-robin fairness, per-lease concurrency caps,
+cancellation, lease release, and pool lifecycle.  The last two run real
+searches through leases: a trial cache shared across tenants, and a
+degradation that stays inside one search.  Per-search determinism under
+multiplexing is the ``lease-mux`` cell of the oracle in
+``tests/core/test_schedule_pins.py``.
 """
 
 import threading
@@ -12,7 +16,13 @@ from concurrent.futures import CancelledError
 
 import pytest
 
-from repro.exec import SharedWorkerPool
+from repro.core.controller import SearchController
+from repro.core.evaluate import TrialOutcome
+from repro.core.registry import DEFAULT_LEARNERS
+from repro.data import make_classification
+from repro.exec import ExecutionEngine, SharedWorkerPool, TrialCache
+from repro.exec.base import run_spec
+from repro.metrics import get_metric
 
 
 def _wait_until(predicate, timeout=5.0):
@@ -190,3 +200,79 @@ class TestLifecycle:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError, match="n_workers"):
             SharedWorkerPool(n_workers=0)
+
+
+@pytest.fixture(scope="module")
+def data():
+    return make_classification(500, 6, class_sep=1.2, seed=0,
+                               name="mux").shuffled(0)
+
+
+def _det_cost(data, spec):
+    """run_spec with a scheduling-independent cost."""
+    out = run_spec(data, spec)
+    return TrialOutcome(
+        error=out.error,
+        cost=1e-3 * spec.sample_size * (1 + len(spec.config)),
+        model=out.model, failure=out.failure,
+    )
+
+
+def _log_fields(result):
+    """The deterministic (timing-free) identity of a trial log."""
+    return [
+        (t.learner, tuple(sorted(t.config.items())), t.sample_size, t.kind,
+         t.error, t.improved_global)
+        for t in result.trials
+    ]
+
+
+class TestCrossSearchCache:
+    def test_second_tenant_rides_the_first_ones_trials(self, data):
+        """Identical dataset + seed through one shared TrialCache: the
+        second tenant's search answers every proposal from storage —
+        zero additional fits (the headline multi-tenant economy)."""
+        cache = TrialCache()
+
+        def search(pool, tenant):
+            lease = pool.lease(data, tenant=tenant, max_concurrent=2)
+            try:
+                # no sampling: the proposal sequence is rng-driven only,
+                # immune to the near-zero replay costs a cache hit reports
+                return SearchController(
+                    data, {"lgbm": DEFAULT_LEARNERS["lgbm"]},
+                    get_metric("roc_auc"), time_budget=1e6, n_workers=2,
+                    seed=5, init_sample_size=100,
+                    resampling_override="holdout", use_sampling=False,
+                    trial_cache=cache, max_iters=6, executor=lease,
+                ).run()
+            finally:
+                lease.shutdown()
+
+        with SharedWorkerPool(n_workers=2, run_fn=_det_cost) as pool:
+            first = search(pool, "alice")
+            hits0, misses0 = cache.hits, cache.misses
+            second = search(pool, "bob")
+        assert second.cache_hits == second.n_trials  # every trial replayed
+        assert cache.hits - hits0 == second.n_trials
+        assert cache.misses - misses0 == 0  # zero extra fits for bob
+        assert _log_fields(first) == _log_fields(second)
+
+
+class TestPerSearchDegrade:
+    def test_degrade_releases_one_lease_not_the_pool(self, data):
+        """A broken-substrate degradation on one tenant's engine swaps in
+        a *private* serial executor and releases only that tenant's
+        lease; the pool and every other lease keep serving."""
+        with SharedWorkerPool(n_workers=2, run_fn=lambda d, s: s) as pool:
+            doomed = pool.lease(data, tenant="alice")
+            survivor = pool.lease("B", tenant="bob")
+            engine = ExecutionEngine(doomed, cache=None)
+            engine._degrade("injected: substrate reported broken")
+            assert engine.executor.backend == "serial"
+            assert engine.executor is not doomed
+            assert doomed.closed  # the lease was released ...
+            assert engine.degradations == [("thread", "serial")]
+            # ... while the pool still serves the other tenant
+            assert survivor.submit("x").result(timeout=10) == "x"
+            engine.shutdown()

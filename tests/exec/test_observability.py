@@ -18,9 +18,9 @@ from repro.exec import (
     ExecutionEngine,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     TrialCache,
     TrialSpec,
+    make_executor,
 )
 from repro.learners import LGBMLikeClassifier
 from repro.metrics import get_metric
@@ -118,7 +118,7 @@ class TestFailureTracebacks:
             def fit(self, X, y):
                 _time.sleep(0.5)
 
-        engine = ExecutionEngine(ThreadExecutor(data, n_workers=1),
+        engine = ExecutionEngine(make_executor("thread", data, 1),
                                  cache=None, trial_time_limit=0.05)
         try:
             out = engine.run(make_spec(metric, estimator_cls=_Sleepy))

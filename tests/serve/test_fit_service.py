@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, install
 from repro.serve import (
     FitService,
     FitServiceError,
@@ -81,22 +82,51 @@ class TestSubmissionValidation:
 class TestTenantBudget:
     def test_exhausted_tenant_is_refused_others_fine(self):
         X, y = _toy_data()
-        with FitService(n_workers=2, max_searches=1,
-                        tenant_time_budget=0.01) as service:
+        # every trial hangs 0.05 s, so the first one alone outlasts the
+        # tenant's 0.01 s budget however fast the learner is
+        prev = install(FaultPlan.from_spec({"seed": 0, "rules": [
+            {"site": "worker.hang", "probability": 1.0, "param": 0.05},
+        ]}))
+        try:
+            with FitService(n_workers=2, max_searches=1,
+                            tenant_time_budget=0.01) as service:
+                job = service.submit("alice", "m", X, y,
+                                     task="classification", time_budget=10,
+                                     max_iters=2, estimators=["rf"])
+                snap = _wait_terminal(service, job.job_id)
+                assert snap["status"] == "done"
+                assert snap["trial_seconds"] >= 0.05  # the job was charged
+                assert service.tenant_remaining("alice") == 0.0
+                with pytest.raises(TenantBudgetExceeded, match="alice"):
+                    service.submit("alice", "m2", X, y)
+                # tenancy is per tenant: bob's budget is untouched
+                assert service.tenant_remaining("bob") == 0.01
+                stats = service.stats()
+                assert stats["tenants"]["alice"]["remaining_s"] == 0.0
+                assert stats["tenant_time_budget"] == 0.01
+        finally:
+            install(prev)
+
+    def test_terminal_status_is_published_after_the_charge(
+            self, monkeypatch):
+        """A poller that sees ``done`` also sees the tenant charged for
+        the job, even when charging is slow."""
+        charge = FitService._charge
+
+        def slow_charge(service, tenant, seconds):
+            time.sleep(0.3)
+            charge(service, tenant, seconds)
+
+        monkeypatch.setattr(FitService, "_charge", slow_charge)
+        X, y = _toy_data()
+        with FitService(n_workers=1, max_searches=1) as service:
             job = service.submit("alice", "m", X, y, task="classification",
                                  time_budget=10, max_iters=2,
                                  estimators=["rf"])
             snap = _wait_terminal(service, job.job_id)
             assert snap["status"] == "done"
-            assert snap["trial_seconds"] > 0  # the job was charged
-            assert service.tenant_remaining("alice") == 0.0
-            with pytest.raises(TenantBudgetExceeded, match="alice"):
-                service.submit("alice", "m2", X, y)
-            # tenancy is per tenant: bob's budget is untouched
-            assert service.tenant_remaining("bob") == 0.01
-            stats = service.stats()
-            assert stats["tenants"]["alice"]["remaining_s"] == 0.0
-            assert stats["tenant_time_budget"] == 0.01
+            used = service.stats()["tenants"]
+            assert used["alice"]["used_s"] == snap["trial_seconds"] > 0
 
     def test_unmetered_by_default(self):
         with FitService(n_workers=1, max_searches=1) as service:
@@ -162,7 +192,7 @@ class TestOverHttp:
             assert snap["status"] == "done"
             assert snap["version"] == 1
             assert snap["result"]["n_trials"] == 3
-            assert snap["result"]["backend"] == "shared"
+            assert snap["result"]["backend"] == "thread"
         assert sorted(registry.models()) == ["alice.churn", "bob.churn"]
         meta = registry.versions("alice.churn")[0]["metadata"]
         assert meta["tenant"] == "alice"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import threading
+import time
 import urllib.request
 
 import pytest
@@ -67,10 +68,18 @@ class TestRequestIds:
         try:
             with caplog.at_level(logging.WARNING, logger="repro.serve"):
                 _, headers, _ = _get(f"{base}/health")
+                # the server logs after writing the response, so the
+                # client can get here first: wait before restoring the
+                # threshold the server has yet to read
+                deadline = time.monotonic() + 5.0
+                while True:
+                    wanted = [r for r in caplog.records
+                              if headers["X-Request-Id"] in r.getMessage()]
+                    if wanted or time.monotonic() > deadline:
+                        break
+                    time.sleep(0.01)
         finally:
             model_server.slow_request_ms = 500.0
-        wanted = [r for r in caplog.records
-                  if headers["X-Request-Id"] in r.getMessage()]
         assert wanted and "slow request" in wanted[0].getMessage()
 
     def test_fast_requests_not_logged(self, live, caplog):
