@@ -45,7 +45,7 @@ class WarmFLAML(FLAMLSystem):
 
         controller = SearchController(
             data,
-            self._learners(data.task, self.estimator_list),
+            self._learners(data.task),
             metric,
             time_budget=time_budget,
             seed=seed,

@@ -1,4 +1,9 @@
-"""Comparator AutoML systems + FLAML ablations (DESIGN.md §3.5)."""
+"""Comparator AutoML systems + FLAML ablations (DESIGN.md §3.5).
+
+Every system's trials run through the execution engine: FLAML's on its
+:class:`~repro.core.controller.SearchController`, the comparators' one at
+a time through a :class:`BudgetedRunner` (see :mod:`repro.baselines.base`).
+"""
 
 from .autosklearn_like import AutoSklearnLike, CloudAutoMLLike
 from .base import AutoMLSystem, BudgetedRunner

@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controller import SearchResult
-from ..core.resampling import choose_resampling
 from ..data.dataset import Dataset
 from ..metrics.registry import Metric
-from .base import AutoMLSystem, BudgetedRunner
+from .base import AutoMLSystem
 from .tpe import TPESampler
 
 __all__ = ["AutoSklearnLike", "CloudAutoMLLike"]
@@ -54,29 +53,11 @@ class AutoSklearnLike(AutoMLSystem):
     #: whether the meta-learning portfolio seeds the search
     use_portfolio = True
 
-    def __init__(self, estimator_list: list[str] | None = None,
-                 cv_instance_threshold: int = 100_000,
-                 cv_rate_threshold: float = 10e6 / 3600.0,
-                 max_trials: int | None = None) -> None:
-        self.estimator_list = estimator_list
-        self.cv_instance_threshold = cv_instance_threshold
-        self.cv_rate_threshold = cv_rate_threshold
-        self.max_trials = max_trials
-
     def search(self, data: Dataset, metric: Metric, time_budget: float,
                seed: int = 0) -> SearchResult:
         """Run the warm-started BO search within the budget."""
         rng = np.random.default_rng(seed)
-        learners = self._learners(data.task, self.estimator_list)
-        resampling = choose_resampling(
-            data.n, data.d, time_budget,
-            instance_threshold=self.cv_instance_threshold,
-            rate_threshold=self.cv_rate_threshold,
-        )
-        runner = BudgetedRunner(
-            data, learners, metric, time_budget, resampling, seed=seed,
-            max_trials=self.max_trials,
-        )
+        runner = self._runner(data, metric, time_budget, seed)
         if self.startup_overhead:
             # simulate meta-learning startup (cloud/meta-feature latency)
             import time as _t
@@ -84,14 +65,14 @@ class AutoSklearnLike(AutoMLSystem):
             _t.sleep(min(self.startup_overhead, time_budget * 0.5))
         samplers = {
             name: TPESampler(spec.space_fn(data.n, data.task), rng)
-            for name, spec in learners.items()
+            for name, spec in runner.learners.items()
         }
-        names = list(learners)
+        names = list(samplers)
         # 1) warm start from the portfolio
         for lname, cfg in (_portfolio(data.task) if self.use_portfolio else []):
             if runner.out_of_budget:
                 break
-            if lname not in learners:
+            if lname not in samplers:
                 continue
             full_cfg = {**samplers[lname].space.init_config(), **cfg}
             err = runner.run_trial(lname, full_cfg)

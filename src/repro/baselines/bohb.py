@@ -17,10 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controller import SearchResult
-from ..core.resampling import choose_resampling
 from ..data.dataset import Dataset
 from ..metrics.registry import Metric
-from .base import AutoMLSystem, BudgetedRunner
+from .base import AutoMLSystem
 from .tpe import TPESampler
 
 __all__ = ["BOHB"]
@@ -31,43 +30,23 @@ class BOHB(AutoMLSystem):
 
     name = "HpBandSter"
 
-    def __init__(
-        self,
-        eta: int = 3,
-        s_max: int = 3,
-        estimator_list: list[str] | None = None,
-        min_sample: int = 100,
-        cv_instance_threshold: int = 100_000,
-        cv_rate_threshold: float = 10e6 / 3600.0,
-        max_trials: int | None = None,
-    ) -> None:
+    def __init__(self, eta: int = 3, s_max: int = 3, min_sample: int = 100,
+                 **kw) -> None:
+        super().__init__(**kw)
         self.eta = int(eta)
         self.s_max = int(s_max)
-        self.estimator_list = estimator_list
         self.min_sample = int(min_sample)
-        self.cv_instance_threshold = cv_instance_threshold
-        self.cv_rate_threshold = cv_rate_threshold
-        self.max_trials = max_trials
 
     def search(self, data: Dataset, metric: Metric, time_budget: float,
                seed: int = 0) -> SearchResult:
         """Run BOHB (TPE + Hyperband brackets) within the budget."""
         rng = np.random.default_rng(seed)
-        learners = self._learners(data.task, self.estimator_list)
-        resampling = choose_resampling(
-            data.n, data.d, time_budget,
-            instance_threshold=self.cv_instance_threshold,
-            rate_threshold=self.cv_rate_threshold,
-        )
-        runner = BudgetedRunner(
-            data, learners, metric, time_budget, resampling, seed=seed,
-            max_trials=self.max_trials,
-        )
+        runner = self._runner(data, metric, time_budget, seed)
         samplers = {
             name: TPESampler(spec.space_fn(data.n, data.task), rng)
-            for name, spec in learners.items()
+            for name, spec in runner.learners.items()
         }
-        names = list(learners)
+        names = list(samplers)
 
         # Hyperband brackets, cycled until the budget is exhausted.
         bracket = self.s_max

@@ -40,15 +40,17 @@ class FLAMLSystem(AutoMLSystem):
         trial_cache: bool = True,
         name: str | None = None,
     ) -> None:
-        self.estimator_list = estimator_list
+        super().__init__(
+            estimator_list=estimator_list,
+            cv_instance_threshold=cv_instance_threshold,
+            cv_rate_threshold=cv_rate_threshold,
+        )
         self.init_sample_size = int(init_sample_size)
         self.sample_growth = float(sample_growth)
         self.learner_selection = learner_selection
         self.use_sampling = bool(use_sampling)
         self.resampling_override = resampling_override
         self.random_init = random_init
-        self.cv_instance_threshold = cv_instance_threshold
-        self.cv_rate_threshold = cv_rate_threshold
         self.fitted_cost_model = fitted_cost_model
         self.n_workers = int(n_workers)
         self.backend = backend
@@ -62,7 +64,7 @@ class FLAMLSystem(AutoMLSystem):
         ``n_workers`` trials in flight on ``backend`` (default: serial
         for one worker, thread for more)."""
         return SearchController(
-            data, self._learners(data.task, self.estimator_list), metric,
+            data, self._learners(data.task), metric,
             time_budget=time_budget,
             n_workers=self.n_workers,
             seed=seed,

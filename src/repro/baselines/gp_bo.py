@@ -22,11 +22,10 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from ..core.controller import SearchResult
-from ..core.resampling import choose_resampling
 from ..core.space import SearchSpace
 from ..data.dataset import Dataset
 from ..metrics.registry import Metric
-from .base import AutoMLSystem, BudgetedRunner
+from .base import AutoMLSystem
 
 __all__ = ["GPRegressor", "GPEIBaseline"]
 
@@ -77,48 +76,29 @@ def expected_improvement(mu: np.ndarray, sd: np.ndarray, best: float) -> np.ndar
 class GPEIBaseline(AutoMLSystem):
     """GP-BO over FLAML's spaces with EI or EIperSec acquisition."""
 
-    def __init__(
-        self,
-        acquisition: str = "ei",
-        n_candidates: int = 50,
-        n_init: int = 3,
-        estimator_list: list[str] | None = None,
-        cv_instance_threshold: int = 100_000,
-        cv_rate_threshold: float = 10e6 / 3600.0,
-        max_trials: int | None = None,
-    ) -> None:
+    def __init__(self, acquisition: str = "ei", n_candidates: int = 50,
+                 n_init: int = 3, **kw) -> None:
         if acquisition not in ("ei", "ei_per_sec"):
             raise ValueError(f"unknown acquisition {acquisition!r}")
+        super().__init__(**kw)
         self.acquisition = acquisition
         self.n_candidates = int(n_candidates)
         self.n_init = int(n_init)
-        self.estimator_list = estimator_list
-        self.cv_instance_threshold = cv_instance_threshold
-        self.cv_rate_threshold = cv_rate_threshold
-        self.max_trials = max_trials
         self.name = "GP-EI" if acquisition == "ei" else "GP-EIperSec"
 
     def search(self, data: Dataset, metric: Metric, time_budget: float,
                seed: int = 0) -> SearchResult:
         """Run GP-BO with the configured acquisition within the budget."""
         rng = np.random.default_rng(seed)
-        learners = self._learners(data.task, self.estimator_list)
+        runner = self._runner(data, metric, time_budget, seed)
         spaces: dict[str, SearchSpace] = {
-            n: s.space_fn(data.n, data.task) for n, s in learners.items()
+            n: s.space_fn(data.n, data.task)
+            for n, s in runner.learners.items()
         }
-        resampling = choose_resampling(
-            data.n, data.d, time_budget,
-            instance_threshold=self.cv_instance_threshold,
-            rate_threshold=self.cv_rate_threshold,
-        )
-        runner = BudgetedRunner(
-            data, learners, metric, time_budget, resampling, seed=seed,
-            max_trials=self.max_trials,
-        )
         obs: dict[str, list[tuple[np.ndarray, float, float]]] = {
-            n: [] for n in learners
+            n: [] for n in spaces
         }
-        names = list(learners)
+        names = list(spaces)
 
         def record(lname, u, cfg):
             err = runner.run_trial(lname, cfg)

@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controller import SearchResult
-from ..core.resampling import choose_resampling
 from ..data.dataset import Dataset
 from ..metrics.registry import Metric
-from .base import AutoMLSystem, BudgetedRunner
+from .base import AutoMLSystem
 from .random_search import grid_sample
 
 __all__ = ["H2OLike"]
@@ -40,26 +39,19 @@ class H2OLike(AutoMLSystem):
     def __init__(self, grid_points: int = 7,
                  cv_instance_threshold: int = 100_000,
                  cv_rate_threshold: float = 10e6 / 3600.0,
-                 max_trials: int | None = None) -> None:
+                 max_iters: int | None = None) -> None:
+        # no estimator_list: the roster is the manual order
+        super().__init__(cv_instance_threshold=cv_instance_threshold,
+                         cv_rate_threshold=cv_rate_threshold,
+                         max_iters=max_iters)
         self.grid_points = int(grid_points)
-        self.cv_instance_threshold = cv_instance_threshold
-        self.cv_rate_threshold = cv_rate_threshold
-        self.max_trials = max_trials
 
     def search(self, data: Dataset, metric: Metric, time_budget: float,
                seed: int = 0) -> SearchResult:
         """Run ordered per-learner randomised grid search within the budget."""
         rng = np.random.default_rng(seed)
-        learners = self._learners(data.task)
-        resampling = choose_resampling(
-            data.n, data.d, time_budget,
-            instance_threshold=self.cv_instance_threshold,
-            rate_threshold=self.cv_rate_threshold,
-        )
-        runner = BudgetedRunner(
-            data, learners, metric, time_budget, resampling, seed=seed,
-            max_trials=self.max_trials,
-        )
+        runner = self._runner(data, metric, time_budget, seed)
+        learners = runner.learners
         schedule = [(n, share) for n, share in _ORDER_AND_SHARE if n in learners]
         total_share = sum(share for _, share in schedule)
         for lname, share in schedule:

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controller import SearchResult
-from ..core.resampling import choose_resampling
 from ..core.space import SearchSpace
 from ..data.dataset import Dataset
 from ..metrics.registry import Metric
-from .base import AutoMLSystem, BudgetedRunner
+from .base import AutoMLSystem
 
 __all__ = ["RandomSearch", "grid_sample"]
 
@@ -35,31 +34,14 @@ class RandomSearch(AutoMLSystem):
 
     name = "RandomSearch"
 
-    def __init__(self, estimator_list: list[str] | None = None,
-                 cv_instance_threshold: int = 100_000,
-                 cv_rate_threshold: float = 10e6 / 3600.0,
-                 max_trials: int | None = None) -> None:
-        self.estimator_list = estimator_list
-        self.cv_instance_threshold = cv_instance_threshold
-        self.cv_rate_threshold = cv_rate_threshold
-        self.max_trials = max_trials
-
     def search(self, data: Dataset, metric: Metric, time_budget: float,
                seed: int = 0) -> SearchResult:
         """Run uniform random search within the budget."""
         rng = np.random.default_rng(seed)
-        learners = self._learners(data.task, self.estimator_list)
-        spaces = {n: s.space_fn(data.n, data.task) for n, s in learners.items()}
-        resampling = choose_resampling(
-            data.n, data.d, time_budget,
-            instance_threshold=self.cv_instance_threshold,
-            rate_threshold=self.cv_rate_threshold,
-        )
-        runner = BudgetedRunner(
-            data, learners, metric, time_budget, resampling, seed=seed,
-            max_trials=self.max_trials,
-        )
-        names = list(learners)
+        runner = self._runner(data, metric, time_budget, seed)
+        spaces = {n: s.space_fn(data.n, data.task)
+                  for n, s in runner.learners.items()}
+        names = list(spaces)
         while not runner.out_of_budget:
             lname = names[int(rng.integers(0, len(names)))]
             runner.run_trial(lname, spaces[lname].sample(rng))

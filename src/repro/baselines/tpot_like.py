@@ -14,10 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.controller import SearchResult
-from ..core.resampling import choose_resampling
 from ..data.dataset import Dataset
 from ..metrics.registry import Metric
-from .base import AutoMLSystem, BudgetedRunner
+from .base import AutoMLSystem
 
 __all__ = ["TPOTLike"]
 
@@ -33,36 +32,22 @@ class TPOTLike(AutoMLSystem):
         tournament_k: int = 3,
         mutation_sigma: float = 0.15,
         crossover_rate: float = 0.4,
-        estimator_list: list[str] | None = None,
-        cv_instance_threshold: int = 100_000,
-        cv_rate_threshold: float = 10e6 / 3600.0,
-        max_trials: int | None = None,
+        **kw,
     ) -> None:
+        super().__init__(**kw)
         self.population_size = int(population_size)
         self.tournament_k = int(tournament_k)
         self.mutation_sigma = float(mutation_sigma)
         self.crossover_rate = float(crossover_rate)
-        self.estimator_list = estimator_list
-        self.cv_instance_threshold = cv_instance_threshold
-        self.cv_rate_threshold = cv_rate_threshold
-        self.max_trials = max_trials
 
     def search(self, data: Dataset, metric: Metric, time_budget: float,
                seed: int = 0) -> SearchResult:
         """Run the genetic-programming search within the budget."""
         rng = np.random.default_rng(seed)
-        learners = self._learners(data.task, self.estimator_list)
-        spaces = {n: s.space_fn(data.n, data.task) for n, s in learners.items()}
-        resampling = choose_resampling(
-            data.n, data.d, time_budget,
-            instance_threshold=self.cv_instance_threshold,
-            rate_threshold=self.cv_rate_threshold,
-        )
-        runner = BudgetedRunner(
-            data, learners, metric, time_budget, resampling, seed=seed,
-            max_trials=self.max_trials,
-        )
-        names = list(learners)
+        runner = self._runner(data, metric, time_budget, seed)
+        spaces = {n: s.space_fn(data.n, data.task)
+                  for n, s in runner.learners.items()}
+        names = list(spaces)
 
         def random_genome():
             lname = names[int(rng.integers(0, len(names)))]

@@ -27,7 +27,7 @@ from ..baselines import (
 )
 from ..core.controller import SearchResult
 from ..core.evaluate import _make_estimator
-from ..core.registry import DEFAULT_LEARNERS
+from ..core.registry import all_learners
 from ..data.dataset import Dataset
 from ..data.suite import SUITE
 from ..metrics.registry import get_metric
@@ -54,9 +54,9 @@ def default_systems(
     """The paper's §5.1 roster, configured for the scaled suite.
 
     ``n_workers``/``backend`` configure FLAML's trial-execution engine
-    (the baselines stay sequential — they have no parallel story to
-    reproduce), e.g. ``n_workers=4, backend="process"`` benchmarks the
-    multi-core search.
+    (the baselines run one trial at a time on the serial executor — they
+    have no parallel story to reproduce), e.g. ``n_workers=4,
+    backend="process"`` benchmarks the multi-core search.
     """
     roster: dict[str, AutoMLSystem] = {
         "FLAML": FLAMLSystem(init_sample_size=flaml_init_sample,
@@ -95,7 +95,7 @@ def fit_final_model(train: Dataset, result: SearchResult, seed: int = 0,
     """Retrain a SearchResult's best configuration on the full train fold."""
     if result.best_learner is None:
         return None
-    spec = DEFAULT_LEARNERS[result.best_learner]
+    spec = all_learners()[result.best_learner]
     model = _make_estimator(
         spec.estimator_cls(train.task), result.best_config, seed, time_limit
     )

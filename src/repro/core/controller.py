@@ -59,7 +59,7 @@ from .registry import LearnerSpec
 from .resampling import resolve_resampling
 from .searchstate import SearchThread
 
-__all__ = ["TrialRecord", "SearchResult", "SearchController"]
+__all__ = ["TrialRecord", "SearchResult", "TrialLog", "SearchController"]
 
 
 @dataclass
@@ -117,6 +117,63 @@ class SearchResult:
         """The trials that failed (each carries its formatted traceback
         in ``.failure``), in log order."""
         return [t for t in self.trials if t.failure is not None]
+
+
+class TrialLog:
+    """The trial log one search commits to: it numbers the trials,
+    tracks the incumbent (the first trial with the lowest error) and
+    packages the :class:`SearchResult`.  ``keep_models`` also keeps the
+    incumbent's fitted model."""
+
+    def __init__(self, resampling: str, keep_models: bool = False) -> None:
+        self.resampling = resampling
+        self.keep_models = keep_models
+        self.trials: list[TrialRecord] = []
+        self.best_error = np.inf
+        self._best = (None, None, 0)  # learner, config, sample_size
+        self._best_model = None
+
+    def commit(self, learner: str, config: dict, sample_size: int,
+               outcome, automl_time: float, kind: str = "search",
+               eci_snapshot: dict[str, float] | None = None) -> None:
+        """Append one resolved trial (a ``TrialOutcome``) to the log."""
+        improved = outcome.error < self.best_error
+        if improved:
+            self.best_error = outcome.error
+            self._best = (learner, dict(config), sample_size)
+            if self.keep_models:
+                self._best_model = outcome.model
+        self.trials.append(TrialRecord(
+            iteration=len(self.trials) + 1,
+            automl_time=automl_time,
+            learner=learner,
+            config=dict(config),
+            sample_size=sample_size,
+            resampling=self.resampling,
+            error=outcome.error,
+            cost=outcome.cost,
+            kind=kind,
+            improved_global=improved,
+            eci_snapshot=eci_snapshot or {},
+            failure=outcome.failure,
+            attempts=outcome.attempts,
+        ))
+
+    def result(self, wall_time: float, **substrate) -> SearchResult:
+        """The log as a SearchResult; ``substrate`` fills its
+        ``cache_hits``/``backend``/``n_workers`` fields."""
+        learner, config, sample_size = self._best
+        return SearchResult(
+            best_learner=learner,
+            best_config=config,
+            best_sample_size=sample_size,
+            best_error=float(self.best_error),
+            resampling=self.resampling,
+            trials=self.trials,
+            wall_time=wall_time,
+            best_model=self._best_model,
+            **substrate,
+        )
 
 
 def _all_plane_aware(learners: dict[str, LearnerSpec], task: str) -> bool:
@@ -379,10 +436,7 @@ class SearchController:
         def clock() -> float:
             return finished if virtual else time.perf_counter() - start
 
-        trials: list[TrialRecord] = []
-        best_error = np.inf
-        best = (None, None, 0)  # learner, config, sample_size
-        best_model = None
+        log = TrialLog(self.resampling, keep_models=self.keep_models)
         heap: list = []  # (order key, launch index, handle, trial)
         zombies: list = []  # timed-out handles whose workers still run
         launched = 0
@@ -390,7 +444,7 @@ class SearchController:
             zombies[:] = [z for z in zombies if not z.worker_done()]
             while (
                 len(heap) + len(zombies) < self.n_workers
-                and self._may_launch(clock(), launched, best_error)
+                and self._may_launch(clock(), launched, log.best_error)
             ):
                 # the advisory train_time_limit: what is left of the
                 # budget, or all of it on the virtual clock, where trials
@@ -409,7 +463,7 @@ class SearchController:
                 launched += 1
             if not heap:
                 if zombies and self._may_launch(clock(), launched,
-                                                best_error):
+                                                log.best_error):
                     # every worker is stuck on an abandoned trial: wait
                     # for one to free up instead of ending the search
                     time.sleep(min(0.02, max(self.time_budget - clock(), 0)))
@@ -436,38 +490,10 @@ class SearchController:
             self._idle[learner].append(thread)
             self.proposer.record(learner, outcome.error, outcome.cost,
                                  sample_size=s)
-            improved = outcome.error < best_error
-            if improved:
-                best_error = outcome.error
-                best = (learner, config, s)
-                if self.keep_models:
-                    best_model = outcome.model
-            trials.append(
-                TrialRecord(
-                    iteration=len(trials) + 1,
-                    automl_time=clock(),
-                    learner=learner,
-                    config=dict(config),
-                    sample_size=s,
-                    resampling=self.resampling,
-                    error=outcome.error,
-                    cost=outcome.cost,
-                    kind=kind,
-                    improved_global=improved,
-                    eci_snapshot=self.proposer.eci_values(),
-                    failure=outcome.failure,
-                    attempts=outcome.attempts,
-                )
-            )
-        return SearchResult(
-            best_learner=best[0],
-            best_config=best[1],
-            best_sample_size=best[2],
-            best_error=float(best_error),
-            resampling=self.resampling,
-            trials=trials,
-            wall_time=clock(),
-            best_model=best_model,
+            log.commit(learner, config, s, outcome, clock(), kind=kind,
+                       eci_snapshot=self.proposer.eci_values())
+        return log.result(
+            clock(),
             cache_hits=self.engine.cache_hits,
             # the engine's backend after any degradation
             backend="virtual" if virtual else self.engine.backend,

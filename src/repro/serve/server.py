@@ -659,6 +659,8 @@ class _Handler(BaseHTTPRequestHandler):
             endpoint = "/fit"  # job ids must not become label values
         else:
             endpoint = "other"
+        # the threshold in force when the request arrived judges it
+        slow_ms = self.model_server.slow_request_ms
         t0 = time.perf_counter()
         try:
             with trace_context(self._request_id):
@@ -677,7 +679,6 @@ class _Handler(BaseHTTPRequestHandler):
                 "HTTP request handling latency, by endpoint.",
                 endpoint=endpoint,
             ).observe(dur)
-            slow_ms = self.model_server.slow_request_ms
             if slow_ms and dur * 1e3 >= slow_ms:
                 _log.warning(
                     "slow request: %s %s -> %s in %.1f ms (request_id=%s)",

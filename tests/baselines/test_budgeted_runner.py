@@ -48,9 +48,17 @@ class TestBudgetedRunner:
         runner.run_trial("lgbm", {"tree_num": 4, "leaf_num": 4}, sample_size=100)
         assert runner.trials[0].sample_size == 100
 
+    def test_failed_trial_keeps_its_traceback(self, runner):
+        err = runner.run_trial("lgbm", {"tree_num": 4, "bogus_param": 3})
+        assert err == np.inf
+        t = runner.trials[0]
+        assert "unexpected keyword argument 'bogus_param'" in t.failure
+        assert runner.result().failures == [t]
+
     def test_result_with_no_trials(self, runner):
         res = runner.result()
         assert res.best_learner is None
+        assert res.best_sample_size == 0  # the controller's convention
         assert res.n_trials == 0
         assert not np.isfinite(res.best_error)
 

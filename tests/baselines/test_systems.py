@@ -87,18 +87,18 @@ class TestSystemSpecifics:
 
     def test_bohb_uses_subsampling_rungs(self, data, metric):
         # small bracket + cheap learner only; a generous wall-clock budget
-        # with a deterministic max_trials cap guarantees the
+        # with a deterministic max_iters cap guarantees the
         # successive-halving promotion happens regardless of machine load
         res = BOHB(s_max=1, min_sample=50, estimator_list=["lgbm"],
-                   max_trials=10, **NO_CV).search(
+                   max_iters=10, **NO_CV).search(
             data, metric, time_budget=60.0, seed=0)
         sizes = {t.sample_size for t in res.trials}
         assert len(sizes) > 1  # successive-halving fidelities
         # the bracket starts at n / eta^s and promotes to the full size
         assert max(sizes) == data.n
 
-    def test_max_trials_caps_all_runners(self, data, metric):
-        res = RandomSearch(max_trials=3, **NO_CV).search(
+    def test_max_iters_caps_all_runners(self, data, metric):
+        res = RandomSearch(max_iters=3, **NO_CV).search(
             data, metric, time_budget=60.0, seed=0)
         assert res.n_trials == 3
 

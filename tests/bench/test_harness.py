@@ -94,6 +94,20 @@ class TestFitFinalModel:
         pred = model.predict(small_dataset.X[:10])
         assert pred.shape == (10,)
 
+    @pytest.mark.parametrize("system", [
+        RandomSearch(estimator_list=["xgb_limitdepth"], max_iters=2,
+                     **SCALED_THRESHOLDS),
+        FLAMLSystem(estimator_list=["lrl2"], init_sample_size=100,
+                    **SCALED_THRESHOLDS),
+    ], ids=["random-xgb_limitdepth", "flaml-lrl2"])
+    def test_retrains_a_winning_extra_learner(self, small_dataset, system):
+        """The systems draw learners from ``all_learners()``, so the
+        winner may be an extra learner."""
+        harness = ComparisonHarness(systems={"sys": system}, budgets=(0.8,),
+                                    seed=0, rf_time_limit=3.0)
+        [record] = harness.run_dataset("toy", dataset=small_dataset)
+        assert np.isfinite(record.scaled_score)
+
     def test_none_when_no_successful_trial(self, small_dataset):
         from repro.core.controller import SearchResult
 

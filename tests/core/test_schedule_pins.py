@@ -15,6 +15,11 @@ digest of its trial log:
 * **kernel mode** — the native kernels on or off (id suffix ``-numpy``);
   both modes must reach the same digest.
 
+The comparator systems of ``repro.baselines`` are pinned on the kernel
+axis too (:func:`test_baseline_digest_is_pinned`): they run one trial at
+a time through the serial executor, and with a budget no run reaches,
+their trial logs are a pure function of data and seed.
+
 The search is cost-aware: ECI picks learners and grows sample sizes from
 each trial's reported cost, and on the virtual clock that cost also sets
 the trial's finish time.  :class:`_PinnedCost` wraps every cell's
@@ -43,6 +48,14 @@ import threading
 import pytest
 
 from repro import AutoML
+from repro.baselines import (
+    BOHB,
+    AutoSklearnLike,
+    CloudAutoMLLike,
+    GPEIBaseline,
+    RandomSearch,
+    TPOTLike,
+)
 from repro.core.controller import SearchController
 from repro.core.registry import DEFAULT_LEARNERS
 from repro.data import make_classification
@@ -359,6 +372,56 @@ def test_co_tenants_alone_match_their_pins(data, fault):
             if pin_fault == fault:
                 res, _ = _wall(data, fault, "thread", 2, tenant=tenant)
                 _check(res, CO_TENANT_PINS[tenant, fault], fault)
+
+
+#: what every baseline cell shares: two learners, holdout (a zero CV
+#: threshold), 8 trials, and a budget no run reaches
+BASELINE_RUN = dict(estimator_list=["lgbm", "lrl1"], cv_instance_threshold=0,
+                    max_iters=8)
+
+#: baseline cell -> the system it runs.  Left out: H2OLike, which
+#: switches learners at wall-clock deadlines, and
+#: GPEIBaseline("ei_per_sec"), which fits a GP to measured trial cost;
+#: neither log is a function of data and seed alone.
+BASELINES = {
+    "random": lambda: RandomSearch(**BASELINE_RUN),
+    "bohb": lambda: BOHB(s_max=1, min_sample=50, **BASELINE_RUN),
+    "tpot": lambda: TPOTLike(population_size=4, **BASELINE_RUN),
+    "autosk": lambda: AutoSklearnLike(**BASELINE_RUN),
+    "cloud": lambda: CloudAutoMLLike(startup_overhead=0, **BASELINE_RUN),
+    "gp-ei": lambda: GPEIBaseline("ei", n_init=2, **BASELINE_RUN),
+}
+
+#: baseline cell -> its digest, the same in both kernel modes
+BASELINE_PINS = {
+    "random": "43319a45e0a16ff1",
+    "bohb": "8e5009d053991b4b",
+    "tpot": "d17ea78e9452d959",
+    "autosk": "52fc8b514dd70a12",
+    "cloud": "9afc7100a783e954",
+    "gp-ei": "03c598e6b921e170",
+}
+
+
+@pytest.fixture(scope="module")
+def baseline_data():
+    """400 rows: the comparator systems train on all of them."""
+    return make_classification(400, 6, class_sep=1.0, seed=4,
+                               name="baseline-pins").shuffled(0)
+
+
+@pytest.mark.parametrize("system,kernel", [
+    pytest.param(system, kernel,
+                 id=system if kernel == "native" else f"{system}-numpy")
+    for system in BASELINES for kernel in ("native", "numpy")
+])
+def test_baseline_digest_is_pinned(baseline_data, system, kernel):
+    with _conditions("none", kernel):
+        res = BASELINES[system]().search(
+            baseline_data, get_metric("roc_auc"), time_budget=1e6, seed=3)
+    assert res.n_trials == BASELINE_RUN["max_iters"]
+    assert res.resampling == "holdout"
+    _check(res, BASELINE_PINS[system], "none")
 
 
 def test_budget_ends_the_one_worker_virtual_search(data):

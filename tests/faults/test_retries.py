@@ -1,6 +1,8 @@
 """Engine retry machinery under injected faults: crashes retried with
 deterministic backoff, budgets enforced, failed trials not retried,
 attempt counts surfaced end-to-end, and the backend degradation ladder.
+The comparator systems run their trials through the same engine, so an
+installed plan reaches them too.
 """
 
 import numpy as np
@@ -193,6 +195,24 @@ class TestAttemptsSurfaced:
         with pytest.raises(ValueError, match="retries"):
             AutoML().fit(data.X, data.y, task="binary", time_budget=1.0,
                          retries=-1)
+
+
+class TestComparatorSystems:
+    def test_baseline_trials_consult_the_fault_plan(self, data):
+        from repro.baselines import RandomSearch
+        from repro.obs.metrics import REGISTRY
+
+        failed = REGISTRY.counter("repro_trials_total", status="failed",
+                                  backend="serial")
+        before = failed.value
+        install(FaultPlan({"trial.exception": 1.0}))
+        res = RandomSearch(max_iters=3).search(
+            data, get_metric("roc_auc"), time_budget=30.0, seed=0)
+        assert [t.error for t in res.trials] == [np.inf] * 3
+        assert res.failures == res.trials
+        assert all("injected trial.exception" in t.failure
+                   for t in res.trials)
+        assert failed.value == before + 3  # the engine's metrics see them
 
 
 class _BrokenExecutor:

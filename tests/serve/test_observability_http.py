@@ -54,6 +54,18 @@ def _predict_once(base):
                  {"model": "churn", "rows": [[0.1] * 5, [0.2] * 5]})
 
 
+def _logged(caplog, request_id):
+    """The log records naming ``request_id``.  The server logs after
+    writing the response, so the client can get here first: wait (<= 5 s)
+    before the caller restores the threshold the server reads."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        wanted = [r for r in caplog.records if request_id in r.getMessage()]
+        if wanted or time.monotonic() > deadline:
+            return wanted
+        time.sleep(0.01)
+
+
 class TestRequestIds:
     def test_every_response_carries_a_request_id(self, live):
         base, _ = live
@@ -68,16 +80,29 @@ class TestRequestIds:
         try:
             with caplog.at_level(logging.WARNING, logger="repro.serve"):
                 _, headers, _ = _get(f"{base}/health")
-                # the server logs after writing the response, so the
-                # client can get here first: wait before restoring the
-                # threshold the server has yet to read
-                deadline = time.monotonic() + 5.0
-                while True:
-                    wanted = [r for r in caplog.records
-                              if headers["X-Request-Id"] in r.getMessage()]
-                    if wanted or time.monotonic() > deadline:
-                        break
-                    time.sleep(0.01)
+                wanted = _logged(caplog, headers["X-Request-Id"])
+        finally:
+            model_server.slow_request_ms = 500.0
+        assert wanted and "slow request" in wanted[0].getMessage()
+
+    def test_threshold_read_when_the_request_arrives(self, live, caplog,
+                                                     monkeypatch):
+        """A threshold raised while a request is handled does not
+        unmark it as slow."""
+        base, model_server = live
+        predict = model_server.predict
+
+        def raise_threshold_then_predict(*args, **kw):
+            model_server.slow_request_ms = 1e9
+            return predict(*args, **kw)
+
+        monkeypatch.setattr(model_server, "predict",
+                            raise_threshold_then_predict)
+        model_server.slow_request_ms = 0.0001
+        try:
+            with caplog.at_level(logging.WARNING, logger="repro.serve"):
+                _, headers, _ = _predict_once(base)
+                wanted = _logged(caplog, headers["X-Request-Id"])
         finally:
             model_server.slow_request_ms = 500.0
         assert wanted and "slow request" in wanted[0].getMessage()
