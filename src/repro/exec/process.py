@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-import multiprocessing
 import os
 import uuid
 import weakref
@@ -320,7 +319,6 @@ class ProcessExecutor(TrialExecutor):
     REBUILDS_TO_BROKEN = 4
 
     def __init__(self, data: Dataset, n_workers: int = 2,
-                 mp_context: str | None = None,
                  warmup: dict | None = None,
                  ship_codes: bool | None = None) -> None:
         """``warmup`` is an optional plane-warmup context forwarded to
@@ -339,7 +337,6 @@ class ProcessExecutor(TrialExecutor):
         Object-dtype labels always fall back to the pickled-dataset
         init regardless."""
         super().__init__(data, n_workers=n_workers)
-        self._mp_context = mp_context
         self._warmup = dict(warmup) if warmup else None
         self._ship_codes = ship_codes
         #: how the dataset went out: "codes", "float" or "pickle"
@@ -480,18 +477,12 @@ class ProcessExecutor(TrialExecutor):
         return sum(int(shm.size) for shm in self._segments)
 
     def _make_pool(self) -> ProcessPoolExecutor:
-        ctx = (
-            multiprocessing.get_context(self._mp_context)
-            if self._mp_context
-            else None
-        )
         # refresh the shipped fault plan at every (re)build so a plan
         # installed between builds reaches the new workers
         plan = active_fault_plan()
         self._init_payload["faults"] = plan.spec() if plan else None
         return ProcessPoolExecutor(
             max_workers=self.n_workers,
-            mp_context=ctx,
             initializer=_init_worker,
             initargs=(self._init_payload,),
         )

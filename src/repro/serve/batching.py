@@ -30,7 +30,8 @@ import numpy as np
 
 from ..obs.metrics import Histogram
 
-__all__ = ["BatcherSaturated", "MicroBatcher", "ServingStats"]
+__all__ = ["BatcherClosed", "BatcherSaturated", "MicroBatcher",
+           "ServingStats"]
 
 
 class BatcherSaturated(RuntimeError):
@@ -39,6 +40,12 @@ class BatcherSaturated(RuntimeError):
     MicroBatcher.submit` *instead of* queueing unboundedly — the HTTP
     layer turns it into ``503 Retry-After`` (load shedding) rather than
     letting every client hang behind an ever-growing queue."""
+
+
+class BatcherClosed(RuntimeError):
+    """The batcher was closed before the row was queued; the row was not
+    predicted.  The server answers such a row directly instead."""
+
 
 #: request-latency buckets (seconds) tuned for sub-ms..seconds serving
 _LATENCY_BUCKETS = (
@@ -152,6 +159,10 @@ class MicroBatcher:
     ``submit`` blocks until the caller's row has been predicted and
     returns just that row's result; exceptions raised by ``predict_fn``
     propagate to every caller in the failed batch.
+
+    ``close`` and the enqueue in ``submit`` are atomic with respect to
+    each other: a row is either queued ahead of the shutdown sentinel,
+    and served, or refused with :class:`BatcherClosed`.
     """
 
     def __init__(self, predict_fn, max_batch: int = 32,
@@ -179,6 +190,8 @@ class MicroBatcher:
         self.stats = stats if stats is not None else ServingStats()
         self._queue: queue.Queue = queue.Queue(maxsize=self.max_queue or 0)
         self._closed = False
+        # makes close() and submit()'s closed-check + enqueue atomic
+        self._lock = threading.Lock()
         self._worker = threading.Thread(
             target=self._run, name="repro-microbatcher", daemon=True
         )
@@ -196,15 +209,16 @@ class MicroBatcher:
 
         With ``max_queue`` set, a full queue sheds the request
         immediately (:class:`BatcherSaturated`) instead of blocking —
-        see the class docstring of :class:`BatcherSaturated`.
+        see the class docstring of :class:`BatcherSaturated`.  A closed
+        batcher raises :class:`BatcherClosed`.
         """
-        if self._closed:
-            raise RuntimeError("MicroBatcher is closed")
         item = _Pending(np.asarray(row, dtype=np.float64).reshape(-1))
         t0 = time.perf_counter()
-        if self.max_queue is None:
-            self._queue.put(item)
-        else:
+        # put_nowait never blocks (an unbounded queue is never full), so
+        # the lock covers only the closed check and the enqueue
+        with self._lock:
+            if self._closed:
+                raise BatcherClosed("MicroBatcher is closed")
             try:
                 self._queue.put_nowait(item)
             except queue.Full:
@@ -223,21 +237,14 @@ class MicroBatcher:
 
     def close(self) -> None:
         """Stop the worker; pending rows are still served first."""
-        if not self._closed:
-            self._closed = True
-            self._queue.put(None)
-            self._worker.join()
-        # a submit() racing close() may have enqueued after the worker
-        # consumed the sentinel: fail those waiters instead of leaving
-        # them blocked on event.wait() forever
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
+        with self._lock:
+            if self._closed:
                 return
-            if item is not None:
-                item.error = RuntimeError("MicroBatcher is closed")
-                item.event.set()
+            self._closed = True
+            # behind every queued row; on a full queue this waits for
+            # the worker, which drains it without taking the lock
+            self._queue.put(None)
+        self._worker.join()
 
     def __enter__(self) -> "MicroBatcher":
         return self

@@ -81,7 +81,8 @@ class FitJob:
         self.job_id = job_id
         self.tenant = tenant
         self.name = name
-        self.params = params  # the AutoML.fit arguments (sans data)
+        #: the AutoML.fit arguments; X and y leave once the job ends
+        self.params = params
         self.status = "queued"
         self.submitted_unix = time.time()
         self.started_unix: float | None = None
@@ -104,7 +105,8 @@ class FitJob:
             "started_unix": self.started_unix,
             "finished_unix": self.finished_unix,
             "trial_seconds": round(self.trial_seconds, 3),
-            "params": {k: v for k, v in self.params.items()
+            # copied in one C call: _job_done may drop X and y meanwhile
+            "params": {k: v for k, v in dict(self.params).items()
                        if k not in ("X", "y")},
         }
         if self.error is not None:
@@ -248,9 +250,8 @@ class FitService:
         from ..core.automl import AutoML
 
         if job.stop_event.is_set():  # cancelled while queued
-            job.status = "cancelled"
             job.finished_unix = time.time()
-            self._job_done(job)
+            self._job_done(job, "cancelled")
             return
         job.status = "running"
         job.started_unix = time.time()
@@ -324,10 +325,14 @@ class FitService:
                 job.trial_seconds = time.time() - job.started_unix
             job.finished_unix = time.time()
             self._charge(job.tenant, job.trial_seconds)
-            job.status = status
-            self._job_done(job)
+            self._job_done(job, status)
 
-    def _job_done(self, job: FitJob) -> None:
+    def _job_done(self, job: FitJob, status: str) -> None:
+        """Publish a terminal status.  Jobs are kept for status polls,
+        so the training payload is dropped first."""
+        job.params.pop("X", None)
+        job.params.pop("y", None)
+        job.status = status
         REGISTRY.counter(
             "repro_tenant_searches_total",
             "Fit-service searches finished, per tenant and outcome.",

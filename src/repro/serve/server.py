@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import logging
+import signal
 import threading
 import time
 import uuid
@@ -52,7 +53,12 @@ from ..native import native_status
 from ..obs.metrics import REGISTRY, render_prometheus
 from ..obs.trace import trace_context, trace_span
 from .artifact import PipelineArtifact
-from .batching import BatcherSaturated, MicroBatcher, ServingStats
+from .batching import (
+    BatcherClosed,
+    BatcherSaturated,
+    MicroBatcher,
+    ServingStats,
+)
 from .registry import ModelRegistry, RegistryError
 
 __all__ = [
@@ -76,6 +82,20 @@ _KNOWN_ENDPOINTS = ("/predict", "/models", "/health", "/metrics", "/fit")
 #: ``Retry-After`` header rounds it up to 1)
 _RETRY_AFTER_S = 1
 
+#: per-model serving counters: (Prometheus family, ServingStats
+#: attribute, help text)
+_SERVING_COUNTERS = (
+    ("repro_serving_requests_total", "requests",
+     "Client requests served, per model."),
+    ("repro_serving_batches_total", "batches",
+     "Model invocations (batches), per model."),
+    ("repro_serving_rows_total", "rows", "Rows predicted, per model."),
+    ("repro_serving_errors_total", "errors",
+     "Requests that raised, per model."),
+    ("repro_serving_sheds_total", "sheds",
+     "Requests shed unpredicted, per model."),
+)
+
 
 class AdmissionRejected(RuntimeError):
     """More than ``max_inflight`` predicts are already running: the
@@ -89,8 +109,47 @@ class DeadlineExceeded(RuntimeError):
     answer it has stopped waiting for."""
 
 
+class _ServedModel:
+    """Serving state of one (model, version): the artifact, its
+    :class:`~repro.serve.batching.ServingStats`, and one micro-batcher
+    per ``proba`` flag, built on first use.  Eviction retires the
+    record; a request still holding it then predicts directly."""
+
+    __slots__ = ("artifact", "stats", "batchers", "retired")
+
+    def __init__(self, artifact: PipelineArtifact) -> None:
+        self.artifact = artifact
+        self.stats = ServingStats()
+        self.batchers: dict[bool, MicroBatcher] = {}
+        self.retired = False
+
+    def retire(self) -> list[MicroBatcher]:
+        """Mark evicted (under the server lock, so no batcher is built
+        after); returns the batchers to close outside the lock."""
+        self.retired = True
+        return list(self.batchers.values())
+
+    def timed(self, call, n_rows: int):
+        """Run ``call()`` as one unbatched request of ``n_rows`` rows,
+        counted and timed in this record's stats."""
+        t0 = time.perf_counter()
+        try:
+            out = call()
+        except Exception:
+            self.stats.record_request(time.perf_counter() - t0, error=True)
+            raise
+        self.stats.record_batch(n_rows)
+        self.stats.record_request(time.perf_counter() - t0)
+        return out
+
+
 class ModelServer:
-    """Registry-backed prediction service with per-model micro-batching."""
+    """Registry-backed prediction service with per-model micro-batching.
+
+    Per-model state is one :class:`_ServedModel` record per served
+    (name, version) in a single LRU bounded by ``max_model_state``.
+    Evicting a record never fails a request that already looked it up:
+    its row is predicted directly with the artifact it holds."""
 
     def __init__(self, registry: ModelRegistry | None = None,
                  artifacts: dict[str, PipelineArtifact] | None = None,
@@ -119,8 +178,9 @@ class ModelServer:
         the server adopts its registry when none was given, so winners
         are servable immediately).  With tenants registering models
         freely, per-model serving state can no longer grow unboundedly:
-        ``max_model_state`` caps cached artifacts / stats / batchers
-        (least-recently-served evicted first, rebuilt on demand) and
+        ``max_model_state`` caps the per-model records (artifact, stats,
+        batchers; least-recently-served evicted first, rebuilt on
+        demand) and
         ``max_metrics_models`` caps the per-model label cardinality of
         ``/metrics`` — everything beyond the most recently active
         models is aggregated under ``model="_other"``."""
@@ -170,12 +230,9 @@ class ModelServer:
         self.max_model_state = int(max_model_state)
         self.max_metrics_models = int(max_metrics_models)
         self._lock = threading.Lock()
-        self._loaded: dict[tuple[str, int | str], PipelineArtifact] = {}
-        self._stats: dict[str, ServingStats] = {}
-        self._batchers: dict[tuple[str, int | str, bool], MicroBatcher] = {}
-        # recency order over (name, version) pairs holding any serving
-        # state; oldest evicted once max_model_state is exceeded
-        self._state_lru: OrderedDict[tuple[str, int | str], None] = \
+        # one record per served (name, version) in recency order; the
+        # oldest is evicted once max_model_state is exceeded
+        self._models: OrderedDict[tuple[str, int | str], _ServedModel] = \
             OrderedDict()
 
     def _shed(self, reason: str) -> None:
@@ -188,10 +245,13 @@ class ModelServer:
             reason=reason,
         ).inc()
 
-    # -- resolution ----------------------------------------------------
-    def _resolve(self, name: str,
-                 version: int | str) -> tuple[PipelineArtifact, int | str]:
-        """Load (and cache) the artifact serving ``name`` at ``version``."""
+    # -- per-model state -----------------------------------------------
+    def _lookup(self, name: str,
+                version: int | str) -> tuple[_ServedModel, int | str]:
+        """The record serving ``name`` at ``version``, loaded on first
+        use and marked most recently served.  Tenants register models
+        without bound, so records past ``max_model_state`` are evicted
+        least-recently-served first."""
         if name in self._fixed:
             if version not in ("latest", "-"):
                 raise RegistryError(
@@ -199,107 +259,74 @@ class ModelServer:
                     f"no version history; requested version {version!r} "
                     "cannot be honoured (omit it or use 'latest')"
                 )
-            return self._fixed[name], "-"
-        if self.registry is None:
+            key = (name, "-")
+        elif self.registry is None:
             raise RegistryError(
                 f"unknown model {name!r}; serving: {sorted(self._fixed)}"
             )
-        resolved = self.registry.resolve(name, version)
+        else:
+            key = (name, self.registry.resolve(name, version))
         with self._lock:
-            art = self._loaded.get((name, resolved))
-        if art is None:
-            art = self.registry.get(name, resolved)  # integrity-checked
-            with self._lock:
-                self._loaded.setdefault((name, resolved), art)
-        self._touch(name, resolved)
-        return art, resolved
-
-    @staticmethod
-    def _stats_key(name: str, version: int | str) -> str:
-        return f"{name}@{version}" if version != "-" else name
-
-    def _stats_for(self, name: str, version: int | str) -> ServingStats:
-        key = self._stats_key(name, version)
+            record = self._models.get(key)
+            if record is not None:
+                self._models.move_to_end(key)
+                return record, key[1]
+        record = _ServedModel(
+            self._fixed[name] if name in self._fixed
+            else self.registry.get(*key)  # integrity-checked
+        )
         with self._lock:
-            if key not in self._stats:
-                self._stats[key] = ServingStats()
-            stats = self._stats[key]
-        self._touch(name, version)
-        return stats
-
-    # -- per-model state lifecycle --------------------------------------
-    def _drop_state_locked(self, name: str,
-                           version: int | str) -> list[MicroBatcher]:
-        """Forget one (model, version)'s serving state; returns the
-        displaced batchers for the caller to close outside the lock."""
-        self._loaded.pop((name, version), None)
-        self._stats.pop(self._stats_key(name, version), None)
-        self._state_lru.pop((name, version), None)
-        doomed = []
-        for key in [k for k in self._batchers
-                    if k[0] == name and k[1] == version]:
-            doomed.append(self._batchers.pop(key))
-        return doomed
-
-    def _touch(self, name: str, version: int | str) -> None:
-        """Mark a (model, version) recently served and evict the
-        least-recently-served state past ``max_model_state`` — tenants
-        register models without bound; this cache must not grow with
-        them."""
-        doomed: list[MicroBatcher] = []
-        with self._lock:
-            self._state_lru[(name, version)] = None
-            self._state_lru.move_to_end((name, version))
-            while len(self._state_lru) > self.max_model_state:
-                oldest = next(iter(self._state_lru))
-                doomed += self._drop_state_locked(*oldest)
+            record = self._models.setdefault(key, record)
+            self._models.move_to_end(key)
+            doomed = []
+            while len(self._models) > self.max_model_state:
+                doomed += self._models.popitem(last=False)[1].retire()
         for b in doomed:
             b.close()
+        return record, key[1]
+
+    def _batcher(self, record: _ServedModel, proba: bool) -> MicroBatcher:
+        """``record``'s micro-batcher for ``proba``, built on first use.
+        Raises :class:`BatcherClosed` once the record is evicted."""
+        with self._lock:
+            if record.retired:
+                raise BatcherClosed("model state was evicted")
+            batcher = record.batchers.get(proba)
+            if batcher is None:
+                art = record.artifact
+                batcher = record.batchers[proba] = MicroBatcher(
+                    art.predict_proba if proba else art.predict,
+                    max_batch=self.max_batch,
+                    max_delay_ms=self.max_delay_ms,
+                    stats=record.stats, max_queue=self.max_queue,
+                )
+            return batcher
 
     def evict_model_state(self, name: str,
                           version: int | str | None = None) -> int:
-        """Drop cached artifacts / stats / batchers for ``name`` (one
+        """Drop the cached artifact, stats and batchers of ``name`` (one
         ``version``, or every version when omitted).  Returns how many
-        (model, version) entries were evicted; state is rebuilt lazily
-        if the model is served again."""
-        doomed: list[MicroBatcher] = []
+        (model, version) records were evicted; a record is rebuilt
+        lazily if the model is served again."""
         with self._lock:
-            targets = {
-                (n, v)
-                for source in (
-                    self._loaded, self._state_lru,
-                    [(n2, v2) for (n2, v2, _p) in self._batchers],
-                    [self._split_stats_key(k) for k in self._stats],
-                )
-                for (n, v) in source
-                if n == name and (version is None or v == version)
-            }
-            for n, v in targets:
-                doomed += self._drop_state_locked(n, v)
+            keys = [k for k in self._models if k[0] == name
+                    and (version is None or k[1] == version)]
+            doomed = [b for k in keys for b in self._models.pop(k).retire()]
         for b in doomed:
             b.close()
-        return len(targets)
-
-    @staticmethod
-    def _split_stats_key(key: str) -> tuple[str, int | str]:
-        if "@" not in key:
-            return key, "-"
-        name, _, version = key.rpartition("@")
-        return name, (int(version) if version.isdigit() else version)
+        return len(keys)
 
     def reconcile_model_state(self) -> int:
         """Evict serving state whose registry version is gone or
         quarantined (deleted models, rolled-back/corrupt versions) —
         the registry is the source of truth; this cache must follow it.
-        Returns how many (model, version) entries were dropped."""
+        Returns how many (model, version) records were dropped."""
         if self.registry is None:
             return 0
         index = self.registry.index()
-        evicted = 0
         with self._lock:
-            known = set(self._state_lru) | set(self._loaded) | {
-                (n, v) for (n, v, _p) in self._batchers
-            } | {self._split_stats_key(k) for k in self._stats}
+            known = list(self._models)
+        evicted = 0
         for name, version in known:
             if name in self._fixed:
                 continue
@@ -312,30 +339,12 @@ class ModelServer:
                 evicted += self.evict_model_state(name, version)
         return evicted
 
-    def _batcher_for(self, name: str, version: int | str, proba: bool,
-                     artifact: PipelineArtifact) -> MicroBatcher:
-        key = (name, version, proba)
-        with self._lock:
-            batcher = self._batchers.get(key)
-        if batcher is None:
-            fn = artifact.predict_proba if proba else artifact.predict
-            batcher = MicroBatcher(
-                fn, max_batch=self.max_batch, max_delay_ms=self.max_delay_ms,
-                stats=self._stats_for(name, version),
-                max_queue=self.max_queue,
-            )
-            with self._lock:
-                existing = self._batchers.setdefault(key, batcher)
-            if existing is not batcher:
-                batcher.close()
-                batcher = existing
-        return batcher
-
     # -- serving -------------------------------------------------------
     def queue_depth(self) -> int:
         """Rows waiting in micro-batcher queues right now (all models)."""
         with self._lock:
-            batchers = list(self._batchers.values())
+            batchers = [b for r in self._models.values()
+                        for b in r.batchers.values()]
         return sum(b.queue_depth for b in batchers)
 
     def predict(self, name: str, rows, proba: bool = False,
@@ -409,7 +418,8 @@ class ModelServer:
         ``predictions: []`` instead of being misread as one
         zero-feature row.
         """
-        artifact, resolved = self._resolve(name, version)
+        record, resolved = self._lookup(name, version)
+        artifact = record.artifact
         X = np.asarray(rows, dtype=np.float64)
         if artifact.task == "forecast":
             if proba:
@@ -425,15 +435,9 @@ class ModelServer:
                     f"{horizon} (raise max_horizon at server start to "
                     "allow longer forecasts)"
                 )
-            stats = self._stats_for(name, resolved)
-            t0 = time.perf_counter()
-            try:
-                predictions = artifact.predict(X, horizon=horizon)
-            except Exception:
-                stats.record_request(time.perf_counter() - t0, error=True)
-                raise
-            stats.record_batch(1)
-            stats.record_request(time.perf_counter() - t0)
+            predictions = record.timed(
+                lambda: artifact.predict(X, horizon=horizon), 1
+            )
             return {
                 "model": name,
                 "version": resolved,
@@ -459,30 +463,29 @@ class ModelServer:
                 "n": 0,
                 "predictions": [],
             }
-        one_row = X.ndim == 1 or (X.ndim == 2 and X.shape[0] == 1)
-        if one_row and self.batching:
+        batched = self.batching and (
+            X.ndim == 1 or (X.ndim == 2 and X.shape[0] == 1)
+        )
+        if batched:
             row = X.reshape(-1)
             # reject malformed rows *before* they join a batch: inside
             # the batcher one bad row would fail the shared model call
             # and error out every coalesced request
             artifact.check_n_features(row.shape[0])
-            out = self._batcher_for(name, resolved, proba, artifact) \
-                      .submit(row)
-            predictions = np.asarray(out).reshape(1, -1) if proba \
-                else np.asarray([out])
-            batched = True
-        else:
-            stats = self._stats_for(name, resolved)
-            t0 = time.perf_counter()
             try:
-                predictions = (artifact.predict_proba(X) if proba
-                               else artifact.predict(X))
-            except Exception:
-                stats.record_request(time.perf_counter() - t0, error=True)
-                raise
-            stats.record_batch(int(np.atleast_2d(X).shape[0]))
-            stats.record_request(time.perf_counter() - t0)
-            batched = False
+                out = self._batcher(record, proba).submit(row)
+            except BatcherClosed:
+                # the record was evicted after this request looked it
+                # up: predict the row directly with the artifact in hand
+                batched = False
+            else:
+                predictions = np.asarray(out).reshape(1, -1) if proba \
+                    else np.asarray([out])
+        if not batched:
+            fn = artifact.predict_proba if proba else artifact.predict
+            predictions = record.timed(
+                lambda: fn(X), int(np.atleast_2d(X).shape[0])
+            )
         return {
             "model": name,
             "version": resolved,
@@ -507,32 +510,45 @@ class ModelServer:
             names.update(self.registry.models())
         return sorted(names)
 
-    def _metrics_items(self) -> tuple[list, list]:
-        """Per-model stats split into (reported, aggregated): the
+    def _metrics_view(self) -> tuple[list, dict | None]:
+        """Per-model stats split into (reported, rollup): the
         ``max_metrics_models`` most recently active models get their own
         series; the long tail — unbounded under multi-tenant
-        registration — is aggregated so label cardinality stays fixed."""
+        registration — is summed into one rollup (None without a tail)
+        so label cardinality stays fixed.  A record that has answered
+        no request yet is not reported."""
         with self._lock:
-            items = list(self._stats.items())
+            items = [
+                (f"{name}@{version}" if version != "-" else name, r.stats)
+                for (name, version), r in self._models.items()
+                if r.stats.requests or r.stats.sheds
+            ]
         items.sort(key=lambda kv: kv[1].last_active, reverse=True)
-        return items[: self.max_metrics_models], \
-            items[self.max_metrics_models:]
+        reported = items[: self.max_metrics_models]
+        rest = [stats for _, stats in items[self.max_metrics_models:]]
+        if not rest:
+            return reported, None
+        rollup = {"models": len(rest)}
+        for _family, attr, _help in _SERVING_COUNTERS:
+            rollup[attr] = sum(int(getattr(s, attr)) for s in rest)
+        hists = [s.latency_hist.state() for s in rest]
+        rollup["latency"] = {
+            "buckets": hists[0]["buckets"],
+            "counts": [sum(c) for c in zip(*(h["counts"] for h in hists))],
+            "sum": sum(h["sum"] for h in hists),
+            "count": sum(h["count"] for h in hists),
+        }
+        return reported, rollup
 
     def metrics(self) -> dict:
         """Per-model counters + latency percentiles (most recently
         active ``max_metrics_models`` models; the rest roll up into
         ``"_other"``)."""
-        reported, rest = self._metrics_items()
+        reported, rollup = self._metrics_view()
         out = {key: stats.snapshot() for key, stats in reported}
-        if rest:
-            out["_other"] = {
-                "models": len(rest),
-                "requests": sum(s.requests for _, s in rest),
-                "batches": sum(s.batches for _, s in rest),
-                "rows": sum(s.rows for _, s in rest),
-                "errors": sum(s.errors for _, s in rest),
-                "sheds": sum(s.sheds for _, s in rest),
-            }
+        if rollup is not None:
+            out["_other"] = {k: v for k, v in rollup.items()
+                             if k != "latency"}
         return out
 
     def prometheus_metrics(self) -> str:
@@ -541,74 +557,35 @@ class ModelServer:
         native dispatch, plane caches, ...).  Per-model label
         cardinality is bounded at ``max_metrics_models``; less recently
         active models aggregate under ``model="_other"``."""
-        reported, rest = self._metrics_items()
-        items = list(reported)
-        counters = {
-            "repro_serving_requests_total": "Client requests served, "
-                                            "per model.",
-            "repro_serving_errors_total": "Requests that raised, per model.",
-            "repro_serving_sheds_total": "Requests shed unpredicted, "
-                                         "per model.",
-            "repro_serving_batches_total": "Model invocations (batches), "
-                                           "per model.",
-            "repro_serving_rows_total": "Rows predicted, per model.",
-        }
+        reported, rollup = self._metrics_view()
+        rows = [
+            (key, {attr: int(getattr(stats, attr))
+                   for _f, attr, _h in _SERVING_COUNTERS},
+             stats.latency_hist.state())
+            for key, stats in reported
+        ]
+        if rollup is not None:
+            rows.append(("_other", rollup, rollup["latency"]))
         serving: dict = {
-            name: {"type": "counter", "help": help, "series": []}
-            for name, help in counters.items()
+            family: {"type": "counter", "help": help, "series": [
+                {"labels": {"model": key}, "value": counts[attr]}
+                for key, counts, _hist in rows
+            ]}
+            for family, attr, help in _SERVING_COUNTERS
         }
         serving["repro_serving_request_seconds"] = {
             "type": "histogram",
             "help": "End-to-end request latency, per model.",
-            "series": [],
+            "series": [{"labels": {"model": key}, **hist}
+                       for key, _counts, hist in rows],
         }
-        for key, stats in items:
-            labels = {"model": key}
-            for name, value in (
-                ("repro_serving_requests_total", stats.requests),
-                ("repro_serving_errors_total", stats.errors),
-                ("repro_serving_sheds_total", stats.sheds),
-                ("repro_serving_batches_total", stats.batches),
-                ("repro_serving_rows_total", stats.rows),
-            ):
-                serving[name]["series"].append(
-                    {"labels": labels, "value": int(value)}
-                )
-            serving["repro_serving_request_seconds"]["series"].append(
-                {"labels": labels, **stats.latency_hist.state()}
-            )
-        if rest:
-            labels = {"model": "_other"}
-            for name, attr in (
-                ("repro_serving_requests_total", "requests"),
-                ("repro_serving_errors_total", "errors"),
-                ("repro_serving_sheds_total", "sheds"),
-                ("repro_serving_batches_total", "batches"),
-                ("repro_serving_rows_total", "rows"),
-            ):
-                serving[name]["series"].append({
-                    "labels": labels,
-                    "value": sum(int(getattr(s, attr)) for _, s in rest),
-                })
-            states = [s.latency_hist.state() for _, s in rest]
-            merged = {
-                "buckets": states[0]["buckets"],
-                "counts": [sum(c) for c in
-                           zip(*(st["counts"] for st in states))],
-                "sum": sum(st["sum"] for st in states),
-                "count": sum(st["count"] for st in states),
-            }
-            serving["repro_serving_request_seconds"]["series"].append(
-                {"labels": labels, **merged}
-            )
         return render_prometheus(serving, REGISTRY.snapshot())
 
     def close(self) -> None:
         """Shut down every micro-batcher worker (and the fit service)."""
         with self._lock:
-            batchers = list(self._batchers.values())
-            self._batchers.clear()
-        for b in batchers:
+            doomed = [b for r in self._models.values() for b in r.retire()]
+        for b in doomed:
             b.close()
         if self.fit_service is not None:
             self.fit_service.close()
@@ -887,13 +864,20 @@ def build_http_server(model_server: ModelServer, host: str = "127.0.0.1",
 
 def serve(model_server: ModelServer, host: str = "127.0.0.1",
           port: int = 8000) -> None:
-    """Blocking convenience runner (the CLI's ``repro serve`` body)."""
+    """Blocking convenience runner (the CLI's ``repro serve`` body).
+
+    SIGINT stops it cleanly.  On the main thread it installs Python's
+    ``KeyboardInterrupt`` handler itself: a background job of a
+    non-interactive shell inherits SIGINT as ignored, and Python then
+    installs none, so the server would never stop."""
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     httpd = build_http_server(model_server, host, port)
     actual = httpd.server_address[1]
     print(f"serving {model_server.served_names()} on http://{host}:{actual}")
     try:
         httpd.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
+    except KeyboardInterrupt:
         pass
     finally:
         httpd.server_close()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.serve import MicroBatcher, ServingStats
+from repro.serve.batching import BatcherClosed
 
 
 def _run_concurrent(batcher, rows):
@@ -107,6 +108,39 @@ class TestFailure:
     def test_close_is_idempotent(self):
         mb = MicroBatcher(lambda X: X[:, 0])
         mb.close()
+        mb.close()
+
+
+class TestSubmitRacingClose:
+    def test_close_during_enqueue_never_strands_the_row(self):
+        """close() starts on another thread just as submit() enqueues and
+        gets up to 0.2 s to finish first.  The row must then be served
+        or refused with BatcherClosed — never left behind the shutdown
+        sentinel with no worker to serve it."""
+        mb = MicroBatcher(lambda X: X[:, 0])
+        put = mb._queue.put
+
+        def put_racing_close(item, block=True, timeout=None):
+            if item is not None:
+                closer = threading.Thread(target=mb.close)
+                closer.start()
+                closer.join(timeout=0.2)
+            put(item, block, timeout)
+
+        mb._queue.put = put_racing_close
+        outcome = []
+
+        def client():
+            try:
+                outcome.append(mb.submit([7.0, 1.0]))
+            except BatcherClosed as exc:
+                outcome.append(exc)
+
+        thread = threading.Thread(target=client, daemon=True)
+        thread.start()
+        thread.join(timeout=3)
+        assert not thread.is_alive(), "submit stranded behind close()"
+        assert outcome == [7.0] or isinstance(outcome[0], BatcherClosed)
         mb.close()
 
 

@@ -6,8 +6,10 @@ training concurrently over one shared pool, winners landing in the
 registry under ``<tenant>.<name>``, and predictions served from them.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -157,6 +159,40 @@ class TestCancellation:
                                  estimators=["rf"])
             _wait_terminal(service, job.job_id)
             assert service.cancel(job.job_id)["status"] == "done"
+
+
+class TestPayloadRelease:
+    """Jobs stay listed for the server's lifetime; their training arrays
+    must not."""
+
+    def test_finished_job_drops_its_payload(self):
+        with FitService(n_workers=1, max_searches=1) as service:
+            job = service.submit("alice", "m", *_toy_data(),
+                                 task="classification", time_budget=10,
+                                 max_iters=2, estimators=["rf"])
+            x_ref = weakref.ref(job.params["X"])
+            assert _wait_terminal(service, job.job_id)["status"] == "done"
+            gc.collect()
+            assert x_ref() is None
+            assert "X" not in job.params and "y" not in job.params
+
+    def test_job_cancelled_while_queued_drops_its_payload(self):
+        with FitService(n_workers=1, max_searches=1) as service:
+            # occupies the one search slot until cancelled
+            blocker = service.submit("alice", "a", *_toy_data(),
+                                     task="classification", time_budget=120,
+                                     max_iters=100_000, estimators=["rf"])
+            job = service.submit("alice", "b", *_toy_data(seed=1),
+                                 task="classification", time_budget=10,
+                                 max_iters=2, estimators=["rf"])
+            x_ref = weakref.ref(job.params["X"])
+            service.cancel(job.job_id)
+            service.cancel(blocker.job_id)
+            snap = _wait_terminal(service, job.job_id)
+            assert snap["status"] == "cancelled"
+            assert snap["started_unix"] is None  # never ran
+            gc.collect()
+            assert x_ref() is None
 
 
 @pytest.fixture(scope="module")

@@ -5,10 +5,16 @@ HTTP must be identical to the in-memory ``AutoML.predict`` on the same
 raw rows, and every endpoint must answer well-formed JSON.
 """
 
+import os
+import signal
+import subprocess
+import sys
 import threading
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.serve import (
     ModelRegistry,
@@ -186,3 +192,35 @@ class TestErrors:
         with pytest.raises(ServeClientError) as exc:
             client._request("/nothing")
         assert exc.value.status == 404
+
+
+class TestServeCommand:
+    def test_sigint_stops_server_that_inherited_it_ignored(self, artifact,
+                                                           tmp_path):
+        """A background job of a non-interactive shell (``cmd &``) starts
+        with SIGINT ignored; ``repro serve`` must still stop cleanly on
+        it."""
+        path = str(tmp_path / "model.json")
+        artifact.save(path)
+        env = dict(os.environ, PYTHONUNBUFFERED="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            os.path.dirname(os.path.dirname(repro.__file__)),
+            env.get("PYTHONPATH"),
+        ]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--artifact", path,
+             "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_IGN),
+        )
+        try:
+            line = proc.stdout.readline()
+            assert line.startswith("serving ") and "http://" in line, line
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
