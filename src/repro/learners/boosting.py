@@ -92,6 +92,12 @@ class GBDTEngine:
         ``sample_weight`` scales each row's gradient/hessian contribution —
         an integer weight w is exactly equivalent to duplicating the row w
         times (up to row-subsampling randomness).
+
+        Every round, subsampled or not, updates the training scores with
+        one ``scores += learning_rate * tree.predict_at(leaf)`` from the
+        leaf ids the grower writes for every row, so no round walks its
+        tree over the training rows again; per cell that is the same
+        product and add a walk would make.
         """
         start = time.perf_counter()
         rng = np.random.default_rng(self.seed)
@@ -116,9 +122,6 @@ class GBDTEngine:
         scores = np.tile(self.base_score_, (n, 1)) if K > 1 else np.full(
             n, self.base_score_[0]
         )
-        # 2-D views for the flat traversal kernels (same memory: in-place
-        # adds through them are the historical per-column adds)
-        scores2d = scores if K > 1 else scores.reshape(-1, 1)
         if X_val is not None:
             codes_val = (
                 X_val.codes_with(self.binner_)
@@ -134,10 +137,7 @@ class GBDTEngine:
             best_val, best_iter = np.inf, 0
 
         self.trees_ = []
-        # when every row is grown (no row subsampling), each row's leaf is
-        # known at grow time — read the update off the partition instead
-        # of re-walking the finished tree (identical leaves by definition)
-        leaf_buf = np.empty(n, dtype=np.int32)
+        leaf_buf = np.empty(n, dtype=np.int32)  # every row's leaf, per grow
         for it in range(self.n_estimators):
             grad, hess = self.loss.grad_hess(y, scores)
             if w is not None:
@@ -164,21 +164,13 @@ class GBDTEngine:
                     rng=rng,
                     kernels=kernels,
                 )
-                if sample_idx is None:
-                    tree = grower.grow(codes, g, h, n_bins, out_leaf=leaf_buf)
-                    upd = self.learning_rate * tree.predict_at(leaf_buf)
-                    if K > 1:
-                        scores[:, k] += upd
-                    else:
-                        scores += upd
+                tree = grower.grow(codes, g, h, n_bins,
+                                   sample_idx=sample_idx, out_leaf=leaf_buf)
+                upd = self.learning_rate * tree.predict_at(leaf_buf)
+                if K > 1:
+                    scores[:, k] += upd
                 else:
-                    # subsampled rows: the grown partition doesn't cover
-                    # every row, so walk the tree — via the flat kernel
-                    tree = grower.grow(codes, g, h, n_bins,
-                                       sample_idx=sample_idx)
-                    FlatEnsemble([tree], [k]).predict_into(
-                        codes, self.learning_rate, scores2d, kernels
-                    )
+                    scores += upd
                 round_trees.append(tree)
             self.trees_.append(round_trees)
 

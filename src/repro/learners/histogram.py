@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..native import active_kernels
+
 __all__ = [
     "Binner",
     "BinnedMatrix",
@@ -113,7 +115,16 @@ class Binner:
 
     # ------------------------------------------------------------------
     def transform(self, X: np.ndarray) -> np.ndarray:
-        """Map ``X`` to integer codes; code 0 = missing, 1.. = value bins."""
+        """Map ``X`` to integer codes; code 0 = missing, 1.. = value bins.
+
+        Column ``j`` maps to ``searchsorted(bin_edges_[j], x,
+        side="left") + 1``.  The bound kernels' ``bin_codes`` applies
+        that rule (:func:`repro.native.fallback.bin_codes` is the
+        reference; the C kernel is bitwise-equal), so every trial, the
+        plane's sketch, the final fit and every served predict bin
+        through one place.  A block whose width differs from the fit's
+        raises ``ValueError`` before any binning.
+        """
         if self.bin_edges_ is None:
             raise RuntimeError("Binner.transform called before fit")
         X = np.asarray(X, dtype=np.float64)
@@ -122,13 +133,9 @@ class Binner:
             raise ValueError(
                 f"X has {d} features, binner was fit with {len(self.bin_edges_)}"
             )
-        codes = np.empty((n, d), dtype=code_dtype(int(self.n_bins_.max())))
-        for j in range(d):
-            col = X[:, j]
-            c = np.searchsorted(self.bin_edges_[j], col, side="left") + 1
-            c[np.isnan(col)] = MISSING_BIN
-            codes[:, j] = c
-        return codes
+        return active_kernels().bin_codes(
+            X, self.bin_edges_, code_dtype(int(self.n_bins_.max()))
+        )
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         """Fit the bin edges and return the codes for X."""
@@ -139,10 +146,10 @@ class Binner:
         :meth:`transform`, without materialising the other columns)."""
         if self.bin_edges_ is None:
             raise RuntimeError("Binner.transform_column called before fit")
-        col = np.asarray(col, dtype=np.float64)
-        c = np.searchsorted(self.bin_edges_[j], col, side="left") + 1
-        c[np.isnan(col)] = MISSING_BIN
-        return c.astype(code_dtype(int(self.n_bins_[j])), copy=False)
+        col = np.asarray(col, dtype=np.float64).reshape(-1, 1)
+        return active_kernels().bin_codes(
+            col, [self.bin_edges_[j]], code_dtype(int(self.n_bins_[j]))
+        )[:, 0]
 
     @property
     def total_bins(self) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..native import active_kernels
+from ..native import active_kernels, fallback
 from ..native.fallback import _EPS  # the kernels' gain tie-break epsilon
 
 __all__ = ["Tree", "FlatEnsemble", "GradTreeGrower", "ClassTreeGrower"]
@@ -122,14 +122,8 @@ class Tree:
     def predict_leaf(self, codes: np.ndarray) -> np.ndarray:
         """Return the leaf node id reached by each row of ``codes``."""
         self._ensure_frozen()
-        node = np.zeros(codes.shape[0], dtype=np.int32)
-        while True:
-            act = np.nonzero(self._feature[node] >= 0)[0]
-            if act.size == 0:
-                return node
-            cur = node[act]
-            goleft = codes[act, self._feature[cur]] <= self._threshold[cur]
-            node[act] = np.where(goleft, self._left[cur], self._right[cur])
+        return fallback.walk_leaves(codes, self._feature, self._threshold,
+                                    self._left, self._right)
 
     def predict(self, codes: np.ndarray) -> np.ndarray:
         """Return leaf values, shape (n,) if scalar payload else (n, K)."""
@@ -322,9 +316,11 @@ class GradTreeGrower:
         it.
 
         ``out_leaf`` (int32, one entry per ``codes`` row) is filled with
-        each grown row's leaf node id — callers that train on every row
-        (boosting without subsampling) read predictions straight off it
-        instead of re-walking the finished tree.
+        every row's leaf node id: a row in ``sample_idx`` gets the leaf
+        the partition placed it in, any other row the leaf a walk of the
+        finished tree reaches — equal to :meth:`Tree.predict_leaf` on
+        every row.  Boosting reads its score updates straight off it,
+        with or without row subsampling, instead of re-walking the tree.
 
         The node loop itself is the bound kernels' ``grow_tree``
         (:func:`repro.native.fallback.grow_tree` is the reference).

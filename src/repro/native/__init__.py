@@ -5,6 +5,8 @@ PR 4's profiling showed the 1-core trial ceiling is numpy *dispatch* on
 small per-node arrays inside the growers, not the arithmetic itself.
 This package pushes the measured hot loops below the interpreter:
 
+* ``bin_codes`` — ``Binner.transform``'s float-to-code rule over a
+  whole block;
 * ``grow_tree`` — ``GradTreeGrower``'s whole node loop in one call;
 * ``build_hists`` — fused grad/hess[/count] histogram accumulation;
 * ``best_split_scan`` — the best-(gain, feature, threshold) scan over

@@ -1,4 +1,5 @@
-/* Fused histogram / split-scan / whole-tree kernels for the growers.
+/* Binning, fused histogram / split-scan / whole-tree kernels for the
+ * growers, and the traversal kernels.
  *
  * Bitwise contract: every function reproduces the pure-numpy reference
  * in repro/native/fallback.py bit for bit, including IEEE corner cases.
@@ -28,14 +29,29 @@
  *    runs heapq's exact sift algorithm on that predicate, so even NaN
  *    gains pop in the reference order;
  *  - elementwise arithmetic is replicated with the same association
- *    as the numpy expressions (noted per loop below).
+ *    as the numpy expressions (noted per loop below);
+ *  - np.searchsorted(e, x, side="left") counts the edges e[i] < x
+ *    under numpy's NaN-last order; edges are sorted in that order by
+ *    construction (np.unique, midpoints of uniques, subsets of those),
+ *    so for a non-NaN key the count is that of plain IEEE `e[i] < x`
+ *    (a NaN edge is never below it, and -0.0 < +0.0 is false in both),
+ *    and any correct binary search over the sorted edges finds it.
+ *
+ * Latency, not arithmetic: the hot loops below also prefetch the rows
+ * they will touch PREFETCH_DISTANCE iterations ahead, and the row
+ * partition advances its cursors with no data-dependent branch.  Neither
+ * can change a bit: a prefetch is only a hint to the cache and reads or
+ * writes nothing the loop sees, and the partition still visits rows in
+ * order and appends each to exactly one side, so both sides keep their
+ * parent's row order and every later sum adds the same values in the
+ * same order.
  *
  * Compiled with -ffp-contract=off so no FMA contraction can change
  * intermediate roundings relative to numpy's scalar SSE2 arithmetic.
  * No numpy headers: arrays arrive as C-contiguous buffers (PyBUF_SIMPLE
- * fails loudly on anything non-contiguous).  grow_tree runs its whole
- * node loop with the GIL released; it allocates with malloc there and,
- * on failure, raises MemoryError once the GIL is back.
+ * fails loudly on anything non-contiguous).  grow_tree and bin_codes run
+ * their loops with the GIL released; grow_tree allocates with malloc
+ * there and, on failure, raises MemoryError once the GIL is back.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -44,6 +60,119 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Rows arrive in sample order (random under row subsampling), so each
+ * row's codes and gradients miss the cache; the loops request them this
+ * many rows ahead. */
+#define PREFETCH_DISTANCE 16
+
+#if defined(__GNUC__) || defined(__clang__)
+#define PREFETCH(p) __builtin_prefetch(p)
+#else
+#define PREFETCH(p) ((void)0)
+#endif
+
+/* ------------------------------------------------------------------ */
+/* Codes of a row-major float64 block x[n, d]: per cell
+ * searchsorted(edges_j, x, side="left") + 1, and 0 (the missing bin)
+ * for NaN -- fallback.bin_codes.  Column j's sorted edges are
+ * edges[off[j] .. off[j+1]).
+ *
+ * The search halves a window whose length depends only on the edge
+ * count, and moves its base by a mask, so neither the trip count nor
+ * any branch depends on the key (a branchy search mispredicts about
+ * every other probe on random keys).  Invariant: the count of edges
+ * below x lies in [base - e, base - e + m].
+ */
+static inline Py_ssize_t
+count_below(const double *e, Py_ssize_t m, double x)
+{
+    const double *base = e;
+    if (m == 0)
+        return 0;
+    while (m > 1) {
+        const Py_ssize_t half = m >> 1;
+        base += half & -(Py_ssize_t)(base[half] < x);
+        m -= half;
+    }
+    return (base - e) + (base[0] < x);
+}
+
+#define BIN_LOOP(ctype)                                                   \
+    do {                                                                  \
+        ctype *op = (ctype *)out;                                         \
+        for (i = 0; i < n; i++) {                                         \
+            const double *xr = x + i * d;                                 \
+            ctype *orow = op + i * d;                                     \
+            for (j = 0; j < d; j++) {                                     \
+                const double v = xr[j];                                   \
+                const Py_ssize_t c =                                      \
+                    count_below(edges + off[j], off[j + 1] - off[j], v)   \
+                    + 1;                                                  \
+                orow[j] = (ctype)(c & -(Py_ssize_t)(v == v));             \
+            }                                                             \
+        }                                                                 \
+    } while (0)
+
+static void
+bin_block(const double *x, Py_ssize_t n, Py_ssize_t d, const double *edges,
+          const int64_t *off, void *out, int itemsize)
+{
+    Py_ssize_t i, j;
+    if (itemsize == 1)
+        BIN_LOOP(uint8_t);
+    else
+        BIN_LOOP(uint16_t);
+}
+
+#undef BIN_LOOP
+
+/* args: x float64[n, d] (y*), n (n), d (n), edges float64 (y*),
+ *       offsets int64[d + 1] (y*), out uint8/uint16[n, d] (w*),
+ *       itemsize (i) */
+static PyObject *
+py_bin_codes(PyObject *self, PyObject *args)
+{
+    Py_buffer x, edges, offs, out;
+    Py_ssize_t n, d, j;
+    int itemsize;
+    const int64_t *off;
+    PyObject *result = NULL;
+
+    if (!PyArg_ParseTuple(args, "y*nny*y*w*i", &x, &n, &d, &edges, &offs,
+                          &out, &itemsize))
+        return NULL;
+    off = (const int64_t *)offs.buf;
+    if (n < 0 || d < 0 || (itemsize != 1 && itemsize != 2)
+        || x.len != n * d * (Py_ssize_t)sizeof(double)
+        || out.len != n * d * itemsize
+        || offs.len != (d + 1) * (Py_ssize_t)sizeof(int64_t)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "x/offsets/out disagree on the block shape");
+        goto release;
+    }
+    for (j = 0; j < d; j++)
+        if (off[j] < 0 || off[j + 1] < off[j]) {
+            PyErr_SetString(PyExc_ValueError, "edge offsets must ascend");
+            goto release;
+        }
+    if (d > 0 && off[d] * (int64_t)sizeof(double) > (int64_t)edges.len) {
+        PyErr_SetString(PyExc_ValueError, "edge offsets overrun the edges");
+        goto release;
+    }
+    Py_BEGIN_ALLOW_THREADS
+    bin_block((const double *)x.buf, n, d, (const double *)edges.buf, off,
+              out.buf, itemsize);
+    Py_END_ALLOW_THREADS
+    result = Py_None;
+    Py_INCREF(result);
+release:
+    PyBuffer_Release(&x);
+    PyBuffer_Release(&edges);
+    PyBuffer_Release(&offs);
+    PyBuffer_Release(&out);
+    return result;
+}
 
 /* ------------------------------------------------------------------ */
 /* Accumulate grad/hess[/count] histograms of the rows ix[0..ni) into
@@ -62,6 +191,14 @@
             const Py_ssize_t i = by_row ? (Py_ssize_t)ix[r] : r;          \
             const ctype *row = cp + (Py_ssize_t)ix[r] * d;                \
             const double gv = g[i], hv = h[i];                            \
+            if (r + PREFETCH_DISTANCE < ni) {                             \
+                const Py_ssize_t ra = (Py_ssize_t)ix[r + PREFETCH_DISTANCE];\
+                PREFETCH(cp + ra * d);                                    \
+                if (by_row) {                                             \
+                    PREFETCH(g + ra);                                     \
+                    PREFETCH(h + ra);                                     \
+                }                                                         \
+            }                                                             \
             for (j = 0; j < F; j++) {                                     \
                 const Py_ssize_t o = j * nbmax + (Py_ssize_t)row[fp[j]];  \
                 og[o] += gv;                                              \
@@ -305,6 +442,13 @@ py_best_split_scan(PyObject *self, PyObject *args)
  * or a FIFO (depth-wise) together with their histograms, parked for
  * the sibling-subtraction trick while the parked total stays within
  * the caller's byte cap.
+ *
+ * out_leaf, when given, receives every row's leaf: a grown row's from
+ * the segment it ended in, any row outside the sample (row subsampling
+ * or a bootstrap) from a walk of the finished tree.  The partition
+ * routes rows by the same `code <= threshold` test the walk applies,
+ * so both agree with Tree.predict_leaf on every row, and boosting
+ * never re-walks a tree to update its scores.
  */
 typedef struct {
     double key;      /* -gain */
@@ -579,16 +723,24 @@ try_split(grow_t *s, Py_ssize_t nid, Py_ssize_t depth, double G, double H,
 }
 
 /* stable in-place partition of ix[0..n) by codes[row, f] <= t; returns
- * the left count (left rows first, both sides in their old order) */
+ * the left count (left rows first, both sides in their old order).
+ * Each row is written to both sides and only its own side's cursor
+ * advances, so the next row overwrites the other copy: no branch on the
+ * code.  ix[nl] is safe to overwrite because nl <= k. */
 #define PARTITION_LOOP(ctype)                                             \
     do {                                                                  \
         const ctype *cp = (const ctype *)s->codes;                        \
         for (k = 0; k < n; k++) {                                         \
             const int64_t r = ix[k];                                      \
-            if ((int64_t)cp[(Py_ssize_t)r * s->d + f] <= t)               \
-                ix[nl++] = r;                                             \
-            else                                                          \
-                tmp[nr++] = r;                                            \
+            Py_ssize_t go_left;                                           \
+            if (k + PREFETCH_DISTANCE < n)                                \
+                PREFETCH(cp + (Py_ssize_t)ix[k + PREFETCH_DISTANCE] * s->d\
+                         + f);                                            \
+            go_left = (int64_t)cp[(Py_ssize_t)r * s->d + f] <= t;         \
+            ix[nl] = r;                                                   \
+            tmp[nr] = r;                                                  \
+            nl += go_left;                                                \
+            nr += 1 - go_left;                                            \
         }                                                                 \
     } while (0)
 
@@ -607,6 +759,39 @@ partition_rows(grow_t *s, int64_t *ix, Py_ssize_t n, Py_ssize_t f,
 }
 
 #undef PARTITION_LOOP
+
+/* the leaf row r reaches by walking the grown tree (Tree.predict_leaf) */
+static int32_t
+walk_leaf(const grow_t *s, Py_ssize_t r)
+{
+    Py_ssize_t node = 0;
+    while (s->feature[node] >= 0) {
+        const Py_ssize_t o = r * s->d + s->feature[node];
+        const int64_t c = (s->itemsize == 1)
+            ? (int64_t)((const uint8_t *)s->codes)[o]
+            : (int64_t)((const uint16_t *)s->codes)[o];
+        node = (c <= s->threshold[node]) ? s->left[node] : s->right[node];
+    }
+    return (int32_t)node;
+}
+
+/* every row's leaf: the grown rows from their final segments, then a
+ * walk of the finished tree for every row the sample left out */
+static void
+fill_leaves(const grow_t *s)
+{
+    int32_t *ol = s->out_leaf;
+    Py_ssize_t k, r;
+    for (r = 0; r < s->n_rows; r++)
+        ol[r] = -1;
+    for (k = 0; k < s->n_nodes; k++)
+        if (s->feature[k] < 0)
+            for (r = s->lo[k]; r < s->hi[k]; r++)
+                ol[s->ix[r]] = (int32_t)k;
+    for (r = 0; r < s->n_rows; r++)
+        if (ol[r] < 0)
+            ol[r] = walk_leaf(s, r);
+}
 
 static void
 grow_core(grow_t *s)
@@ -713,13 +898,8 @@ grow_core(grow_t *s)
         }
     }
 
-    if (s->out_leaf) /* every row's final leaf, as the reference's writes */
-        for (k = 0; k < s->n_nodes; k++)
-            if (s->feature[k] < 0) {
-                Py_ssize_t r;
-                for (r = s->lo[k]; r < s->hi[k]; r++)
-                    s->out_leaf[s->ix[r]] = (int32_t)k;
-            }
+    if (s->out_leaf)
+        fill_leaves(s);
 }
 
 static PyObject *
@@ -1242,6 +1422,8 @@ py_oblivious_predict(PyObject *self, PyObject *args)
 
 /* ------------------------------------------------------------------ */
 static PyMethodDef kernel_methods[] = {
+    {"bin_codes", py_bin_codes, METH_VARARGS,
+     "Bin a float block into missing-aware codes (GIL released)."},
     {"grow_tree", py_grow_tree, METH_VARARGS,
      "Grow one whole gradient tree (GIL released)."},
     {"build_hists", py_build_hists, METH_VARARGS,
@@ -1261,8 +1443,8 @@ static PyMethodDef kernel_methods[] = {
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT, "_repro_native",
-    "Compiled histogram/split kernels (bitwise-equal to repro.native."
-    "fallback).",
+    "Compiled binning/histogram/split kernels (bitwise-equal to "
+    "repro.native.fallback).",
     -1, kernel_methods,
 };
 

@@ -1,15 +1,16 @@
 """Thin Python wrappers giving the C extension the fallback's API.
 
 :class:`NativeKernels` exposes exactly the surface of
-:mod:`repro.native.fallback` — ``grow_tree``, ``build_hists``,
-``build_class_hists``, ``best_split_scan``, ``ObliviousLevelScorer`` and
-the traversal pair ``ensemble_predict``/``oblivious_predict`` — so
-growers and engines hold one "kernels" object and never branch per
-node.  The wrappers only normalise dtypes/contiguity (no-ops on the
-growers' own arrays), allocate outputs and route inputs the C loops
-cannot read (wide or non-C-contiguous codes, per-node RNG draws) to the
-reference; all arithmetic lives in ``_kernels.c`` and is bitwise-equal
-to the fallback.
+:mod:`repro.native.fallback` — ``bin_codes``, ``grow_tree``,
+``build_hists``, ``build_class_hists``, ``best_split_scan``,
+``ObliviousLevelScorer`` and the traversal pair
+``ensemble_predict``/``oblivious_predict`` — so binners, growers and
+engines hold one "kernels" object and never branch per node.  The
+wrappers only normalise dtypes/contiguity (no-ops on the growers' own
+arrays), allocate outputs and route inputs the C loops cannot read
+(wide or non-C-contiguous codes, per-node RNG draws) to the reference;
+all arithmetic lives in ``_kernels.c`` and is bitwise-equal to the
+fallback.
 """
 
 from __future__ import annotations
@@ -88,6 +89,20 @@ class NativeKernels:
 
     def __init__(self, cmod) -> None:
         self._c = cmod
+
+    def bin_codes(self, X, edges, dtype):
+        n, d = X.shape
+        out = np.empty((n, d), dtype=dtype)
+        if out.dtype not in _C_DTYPES:
+            return fallback.bin_codes(X, edges, dtype)
+        # the edges are packed per call, never kept: one transient of at
+        # most d * max_bins doubles
+        offsets = np.zeros(d + 1, dtype=np.int64)
+        np.cumsum([e.size for e in edges], out=offsets[1:])
+        packed = _f64(np.concatenate(edges)) if d else np.empty(0)
+        self._c.bin_codes(_f64(X), n, d, packed, offsets, out,
+                          out.dtype.itemsize)
+        return out
 
     def grow_tree(self, codes, grad, hess, n_bins, idx0, features, *,
                   out_leaf=None, **params):

@@ -1,4 +1,4 @@
-"""Pure-numpy reference kernels for the tree-grower hot loops.
+"""Pure-numpy reference kernels for binning and the tree-grower hot loops.
 
 This module is the **semantic definition** of the native kernels: the C
 extension in ``_kernels.c`` must reproduce every function here bit for
@@ -22,6 +22,10 @@ contract too: ``ndarray.sum`` is numpy's pairwise sum, the per-node
 parent score is numpy *scalar* arithmetic (``np.float64 ** 2`` is libm
 ``pow``), and pending splits pop in ``heapq``'s tuple order.
 
+:func:`bin_codes` is ``Binner.transform``'s rule (``searchsorted(edges,
+x, side="left") + 1``, NaN to the missing bin 0) over a whole float
+block; every binner transform goes through the bound kernels' copy.
+
 Shared conventions (both implementations):
 
 * ``codes`` are uint8/uint16 bin codes, values strictly below the
@@ -43,6 +47,7 @@ import numpy as np
 __all__ = [
     "ObliviousLevelScorer",
     "best_split_scan",
+    "bin_codes",
     "build_class_hists",
     "build_hists",
     "ensemble_predict",
@@ -78,6 +83,39 @@ def _leaf_value(G: float, H: float, alpha: float, lam: float) -> float:
         a = 0.0
     num = a if G > 0.0 else (-a if G < 0.0 else 0.0)
     return -num / (H + lam)
+
+
+def bin_codes(X, edges, dtype):
+    """Bin codes of the float64 block ``X`` (n, d): column ``j`` maps
+    to ``searchsorted(edges[j], x, side="left") + 1``, and NaN to the
+    missing bin 0.
+
+    ``edges[j]`` is sorted ascending in numpy's order (NaN last), as
+    every :class:`~repro.learners.histogram.Binner` builds it; ``dtype``
+    is the uint8/uint16 code dtype of the result.
+    """
+    n, d = X.shape
+    codes = np.empty((n, d), dtype=dtype)
+    for j in range(d):
+        col = X[:, j]
+        c = np.searchsorted(edges[j], col, side="left") + 1
+        c[np.isnan(col)] = 0
+        codes[:, j] = c
+    return codes
+
+
+def walk_leaves(codes, feature, threshold, left, right):
+    """The leaf id each row of ``codes`` reaches in one tree's node
+    arrays (go left iff ``code <= threshold``; leaves have ``feature <
+    0``), every row one tree level per step."""
+    node = np.zeros(codes.shape[0], dtype=np.int32)
+    while True:
+        act = np.nonzero(feature[node] >= 0)[0]
+        if act.size == 0:
+            return node
+        cur = node[act]
+        goleft = codes[act, feature[cur]] <= threshold[cur]
+        node[act] = np.where(goleft, left[cur], right[cur])
 
 
 def build_hists(codes, g, h, idx, features, n_bins, nbmax, need_cnt,
@@ -297,8 +335,11 @@ def grow_tree(codes, grad, hess, n_bins, idx0, features, *, max_leaves,
     on pending nodes for the sibling-subtraction trick); ``rng`` is
     drawn from only by per-level column sampling and the extra-random
     scan.  ``out_leaf`` (int32, one entry per ``codes`` row) receives
-    each grown row's leaf id.  ``kernels`` supplies ``build_hists`` and
-    ``best_split_scan`` (default: this module's).
+    every row's leaf id: a grown row's from the partition, any row
+    outside ``idx0`` from a walk of the finished tree -- the same leaf
+    either way, since the partition routes rows by the walk's test.
+    ``kernels`` supplies ``build_hists`` and ``best_split_scan``
+    (default: this module's).
     """
     if kernels is None:
         kernels = sys.modules[__name__]
@@ -431,13 +472,20 @@ def grow_tree(codes, grad, hess, n_bins, idx0, features, *, max_leaves,
                     heapq.heappush(heap, item)
                 else:
                     heap.append(item)
-    return (
+    arrays = (
         np.asarray(feature, dtype=np.int32),
         np.asarray(threshold, dtype=np.int64),
         np.asarray(left, dtype=np.int32),
         np.asarray(right, dtype=np.int32),
         np.asarray(value, dtype=np.float64),
     )
+    if out_leaf is not None:
+        grown = np.zeros(codes.shape[0], dtype=bool)
+        grown[idx0] = True
+        rest = np.flatnonzero(~grown)
+        if rest.size:
+            out_leaf[rest] = walk_leaves(codes[rest], *arrays[:4])
+    return arrays
 
 
 class ObliviousLevelScorer:

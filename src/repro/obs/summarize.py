@@ -32,7 +32,11 @@ PHASES = ("bin", "construct", "fit", "score", "metric")
 #: span name -> phase.  ``plane.*`` spans fire inside the binned-data
 #: plane on cache misses (possibly nested under ``trial.fit`` when a
 #: learner materialises its codes lazily) — self-time accounting
-#: charges them to ``bin`` either way.
+#: charges them to ``bin`` either way.  A span is charged to its phase
+#: only when a ``trial`` span is among its ancestors: the same names
+#: also fire outside any trial (the winner's retrain bins through
+#: ``plane.codes``, the parent splits and transforms before the trial
+#: loop), and that time is no part of the trial wall.
 PHASE_OF = {
     "trial.bin": "bin",
     "plane.split": "bin",
@@ -69,6 +73,21 @@ def _self_times(spans: list[dict]) -> list[tuple[dict, float]]:
     ]
 
 
+def _under_trial(rec: dict, by_id: dict) -> bool:
+    """Whether a ``trial`` span is among ``rec``'s ancestors."""
+    seen = set()
+    parent = rec.get("parent")
+    while parent is not None and parent not in seen:
+        seen.add(parent)
+        anc = by_id.get(parent)
+        if anc is None:
+            return False
+        if anc.get("name") == "trial":
+            return True
+        parent = anc.get("parent")
+    return False
+
+
 def attribute(spans: list[dict]) -> dict:
     """Per-phase attribution over the ``trial`` spans in a trace.
 
@@ -82,13 +101,15 @@ def attribute(spans: list[dict]) -> dict:
     wall = sum(rec["dur"] for rec in trials)
     phase_s = {p: 0.0 for p in PHASES}
     phase_n = {p: 0 for p in PHASES}
-    # spans outside any trial (e.g. http.request) are grouped separately
+    # spans outside any trial (http.request, or a phase span such as the
+    # retrain's plane.codes) are grouped separately
     trial_ids = {rec.get("span") for rec in trials}
+    by_id = {rec.get("span"): rec for rec in spans}
     extra: dict[str, dict] = {}
     for rec, self_dur in _self_times(spans):
         name = rec.get("name")
         phase = PHASE_OF.get(name)
-        if phase is not None:
+        if phase is not None and _under_trial(rec, by_id):
             phase_s[phase] += self_dur
             phase_n[phase] += 1
         elif name != "trial":

@@ -874,8 +874,10 @@ def serve(model_server: ModelServer, host: str = "127.0.0.1",
         signal.signal(signal.SIGINT, signal.default_int_handler)
     httpd = build_http_server(model_server, host, port)
     actual = httpd.server_address[1]
-    print(f"serving {model_server.served_names()} on http://{host}:{actual}")
     try:
+        # announced inside the try: a client may send SIGINT as soon as
+        # it reads this line, before print itself has returned
+        print(f"serving {model_server.served_names()} on http://{host}:{actual}")
         httpd.serve_forever()
     except KeyboardInterrupt:
         pass

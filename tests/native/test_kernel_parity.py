@@ -306,7 +306,11 @@ class TestWholeGrowerParity:
         """The one-call C tree equals the reference node loop bit for
         bit: all five node arrays and every row's leaf (or both raise
         the plain-float leaf value's ZeroDivisionError when
-        ``reg_lambda = 0`` meets an empty hessian sum)."""
+        ``reg_lambda = 0`` meets an empty hessian sum).  ``out_leaf``
+        covers every row, sampled or not: each entry is the leaf the
+        grown tree's own walk reaches."""
+        from repro.learners.tree import Tree
+
         codes, g, h, n_bins, idx0, features, with_leaf, params = case
         out = {}
         for name, kernels in (("numpy", fallback), ("native", native())):
@@ -321,6 +325,9 @@ class TestWholeGrowerParity:
                 out[name] = "ZeroDivisionError"
             else:
                 out[name] = (*arrays, leaf)
+                if with_leaf:
+                    walked = Tree.from_arrays(*arrays).predict_leaf(codes)
+                    np.testing.assert_array_equal(leaf, walked)
         if isinstance(out["numpy"], str) or isinstance(out["native"], str):
             assert out["numpy"] == out["native"]
             return

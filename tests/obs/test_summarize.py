@@ -61,6 +61,28 @@ class TestAttribute:
         assert att["wall_s"] == pytest.approx(0.5)  # http not trial wall
         assert att["extra"]["http.request"]["calls"] == 1
 
+    def test_phase_spans_outside_trials_are_not_trial_time(self):
+        """A plane span outside any trial (the winner's retrain binning
+        in the parent) is listed under extra, not charged to ``bin``,
+        so coverage cannot pass 100%.  A phase span nested deeper under
+        a trial still counts."""
+        spans = [
+            _span("trial", 1.0, "1-1"),
+            _span("trial.fit", 0.9, "1-2", parent="1-1"),
+            _span("plane.codes", 0.2, "1-3", parent="1-2"),
+            _span("automl.retrain", 2.0, "1-4"),
+            _span("plane.codes", 0.5, "1-5", parent="1-4"),
+            _span("plane.transform", 0.1, "1-6"),
+        ]
+        att = attribute(spans)
+        assert att["coverage"] <= 1.0
+        assert att["coverage"] == pytest.approx(0.9)
+        assert att["phases"]["bin"]["seconds"] == pytest.approx(0.2)
+        assert att["phases"]["bin"]["calls"] == 1
+        assert att["extra"]["plane.codes"] == {"seconds": 0.5, "calls": 1}
+        assert att["extra"]["plane.transform"]["calls"] == 1
+        assert att["extra"]["automl.retrain"]["seconds"] == pytest.approx(1.5)
+
     def test_multi_pid_traces_counted(self):
         spans = [
             _span("trial", 0.5, "1-1", pid=1),
