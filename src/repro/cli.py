@@ -5,21 +5,20 @@ the no-code form of that loop::
 
     python -m repro fit train.csv --label y --budget 30 --out model.json
     python -m repro predict model.json test.csv --out preds.csv
+    python -m repro serve --artifact model.json --port 8000
     python -m repro fit series.csv --task forecast --horizon 12 \
-        --seasonal-period 12 --artifact fc.json
+        --seasonal-period 12 --out fc.json
     python -m repro datasets --task binary
     python -m repro portfolio build corpus1.csv corpus2.csv --out pf.json
     python -m repro fit train.csv --register models/ --name churn
     python -m repro serve --registry models/ --port 8000
     python -m repro registry list models/
 
-``fit`` writes a self-contained JSON model file (winning learner name,
-its config, the task and the label encoding) plus the trial log, and
-``predict`` re-trains that configuration on the stored training data
-reference — models here are configuration + data recipes, mirroring how
-FLAML deployments retrain the chosen config on refreshed data (§1's
-selectivity-estimation loop).  For byte-identical model reuse, use
-``--pickle`` to serialise the fitted estimator object instead.
+``fit`` writes one file, the self-contained pipeline artifact
+(:class:`repro.serve.PipelineArtifact`: preprocessors, the fitted model,
+the task and the search metadata, plus the label column it was trained
+on), and ``predict``, ``serve --artifact`` and ``registry add`` all read
+that file.  It contains no pickled code.
 
 (Benchmark sweeps live under ``python -m repro.bench``.)
 """
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
 
 import numpy as np
@@ -85,17 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cap on total retries across the whole search "
                           "(default: unlimited when --retries > 0)")
     fit.add_argument("--out", default="model.json",
-                     help="model file to write (default model.json)")
-    fit.add_argument("--pickle", action="store_true",
-                     help="also write <out>.pkl with the fitted estimator")
-    fit.add_argument("--save-model", action="store_true",
-                     help="also write <out>.model.json (pickle-free "
-                          "estimator dump, preferred over --pickle)")
+                     help="pipeline artifact to write (preprocessing + "
+                          "model; read by `predict`, `serve --artifact` "
+                          "and `registry add`; default model.json)")
     fit.add_argument("--log", default=None,
                      help="optional trial-log JSON path")
-    fit.add_argument("--artifact", default=None, metavar="PATH",
-                     help="also export a self-contained pipeline artifact "
-                          "(preprocessing + model; servable via `serve`)")
     fit.add_argument("--register", default=None, metavar="REGISTRY_DIR",
                      help="register the fitted pipeline into this model "
                           "registry directory")
@@ -111,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "failed trials)")
 
     pred = sub.add_parser("predict", help="predict with a fitted model file")
-    pred.add_argument("model", help="model.json written by `fit`")
+    pred.add_argument("model", help="pipeline artifact written by `fit`")
     pred.add_argument("test_csv", help="CSV with the same feature columns")
     pred.add_argument("--out", default=None,
                       help="write predictions to this CSV (default: stdout)")
@@ -216,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     reg_add.add_argument("registry_dir")
     reg_add.add_argument("name")
     reg_add.add_argument("artifact", help="artifact JSON written by "
-                                          "save_model / fit --artifact")
+                                          "fit / save_model")
     reg_list = reg_sub.add_parser("list", help="list models and versions")
     reg_list.add_argument("registry_dir")
     reg_list.add_argument("name", nargs="?", default=None)
@@ -312,29 +304,10 @@ def _cmd_fit(args) -> int:
     finally:
         if trace_cleanup is not None:
             trace_cleanup()
-    model = {
-        "task": data.task,
-        "label": args.label,
-        "n_features": data.d,
-        "learner": automl.best_estimator,
-        "config": automl.best_config,
-        "best_error": automl.best_loss,
-        "metric": args.metric,
-        "seed": args.seed,
-        "train_csv": args.train_csv,
-        "n_trials": automl.search_result.n_trials,
-        **forecast_kw,
-    }
-    with open(args.out, "w") as f:
-        json.dump(model, f, indent=1, default=float)
-    if args.pickle:
-        with open(args.out + ".pkl", "wb") as f:
-            pickle.dump(automl.model, f)
-    if args.save_model:
-        automl.save_model(args.out + ".model.json")
-    if args.artifact:
-        automl.export_artifact().save(args.artifact)
-        print(f"artifact     : {args.artifact}")
+    artifact = automl.export_artifact(
+        metadata={"label": args.label, "train_csv": args.train_csv},
+    )
+    artifact.save(args.out)
     if args.register:
         import os as _os
 
@@ -343,8 +316,7 @@ def _cmd_fit(args) -> int:
         name = args.name or _os.path.splitext(
             _os.path.basename(args.train_csv))[0]
         version = ModelRegistry(args.register).register(
-            name, automl.export_artifact(),
-            metadata={"train_csv": args.train_csv},
+            name, artifact, metadata={"train_csv": args.train_csv},
         )
         print(f"registered   : {name} v{version} -> {args.register}")
     result = automl.search_result
@@ -390,47 +362,20 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    with open(args.model) as f:
-        model = json.load(f)
-    try:
-        # preference order: pickle-free pipeline artifact (new format or
-        # legacy estimator dump), then pickle, then retrain
-        estimator = AutoML.load_model(args.model + ".model.json")
-    except FileNotFoundError:
-        estimator = None
-    if estimator is None:
-        try:
-            with open(args.model + ".pkl", "rb") as f:
-                estimator = pickle.load(f)
-        except FileNotFoundError:
-            estimator = None
-    if estimator is None:
-        # retrain the stored configuration on the stored training data
-        train = from_csv(model["train_csv"], label=_label_arg(model["label"]),
-                         task=model["task"])
-        automl = AutoML(seed=model["seed"])
-        forecast_kw = {}
-        if model["task"] == "forecast":
-            forecast_kw = dict(horizon=model.get("horizon", 1),
-                               seasonal_period=model.get("seasonal_period"))
-        automl.fit(train.X, train.y, task=model["task"],
-                   time_budget=1e9, max_iters=1,
-                   estimator_list=[model["learner"]],
-                   starting_points={model["learner"]: model["config"]},
-                   **forecast_kw)
-        estimator = automl.model
-    if model["task"] == "forecast":
+    artifact = AutoML.load_model(args.model)
+    # an artifact without label metadata (AutoML.save_model) takes
+    # fit's default label, the last column
+    label = _label_arg(str(artifact.metadata.get("label", "-1")))
+    if artifact.task == "forecast":
         # the test CSV is the recent raw history of the series; answer
         # with the next --horizon values
         if args.proba:
             raise ValueError("--proba is not defined for forecast models")
-        history = from_csv(args.test_csv, label=_label_arg(model["label"]),
-                           task="forecast").y
-        out = estimator.predict(history, horizon=args.horizon)
+        history = from_csv(args.test_csv, label=label, task="forecast").y
+        out = artifact.predict(history, horizon=args.horizon)
         return _emit_predictions(out, args.out)
-    if _has_label(args.test_csv, model):
-        X = from_csv(args.test_csv, label=_label_arg(model["label"]),
-                     task=model["task"]).X
+    if _has_label(args.test_csv, label, artifact.metadata["n_features_in"]):
+        X = from_csv(args.test_csv, label=label, task=artifact.task).X
     else:
         # label column absent: all columns are features
         import csv as _csv
@@ -438,8 +383,8 @@ def _cmd_predict(args) -> int:
         with open(args.test_csv, newline="") as f:
             rows = list(_csv.reader(f))
         X = np.array([[float(c or "nan") for c in r] for r in rows[1:]])
-    out = (estimator.predict_proba(X) if args.proba else
-           estimator.predict(X))
+    out = (artifact.predict_proba(X) if args.proba else
+           artifact.predict(X))
     return _emit_predictions(out, args.out)
 
 
@@ -456,7 +401,7 @@ def _emit_predictions(out, path: str | None) -> int:
     return 0
 
 
-def _has_label(path: str, model: dict) -> bool:
+def _has_label(path: str, label: str | int, n_features: int) -> bool:
     """Whether the prediction CSV still carries the training label column.
 
     Named labels are matched against the header; positional labels are
@@ -465,12 +410,8 @@ def _has_label(path: str, model: dict) -> bool:
     """
     with open(path) as f:
         header = f.readline().strip().split(",")
-    label = _label_arg(model["label"])
     if isinstance(label, str):
         return label in header
-    n_features = model.get("n_features")
-    if n_features is None:  # legacy model file: assume the label is there
-        return True
     return len(header) > n_features
 
 

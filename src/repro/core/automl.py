@@ -644,26 +644,13 @@ class AutoML:
 
     @staticmethod
     def load_model(path: str):
-        """Load a pipeline written by :meth:`save_model` (no pickle).
+        """Load a pipeline written by :meth:`save_model` or ``repro fit``
+        (no pickle).
 
         Returns a :class:`repro.serve.PipelineArtifact` whose
-        ``predict``/``predict_proba`` take raw rows.  Legacy files
-        written by older versions (a bare :mod:`~repro.learners.model_io`
-        estimator dump, no preprocessing) still load: they come back
-        wrapped in an artifact with an empty preprocessor chain.
+        ``predict``/``predict_proba`` take raw rows.  A file that is not
+        a pipeline artifact raises ``ValueError``.
         """
-        import json as _json
+        from ..serve.artifact import PipelineArtifact
 
-        from ..learners.model_io import load_model as _load_estimator
-        from ..serve.artifact import ARTIFACT_FORMAT, PipelineArtifact
-
-        with open(path) as f:
-            obj = _json.load(f)
-        if obj.get("format") == ARTIFACT_FORMAT:
-            return PipelineArtifact.from_dict(obj)
-        # legacy bare-estimator dump: infer the task from the label payload
-        model = _load_estimator(obj)
-        classes = getattr(model, "classes_", None)
-        task = ("regression" if classes is None
-                else ("binary" if len(classes) == 2 else "multiclass"))
-        return PipelineArtifact(model, [], task, {"legacy_model_file": True})
+        return PipelineArtifact.load(path)

@@ -16,8 +16,14 @@ Each worker wraps its shared-memory-backed dataset in the process-local
 :class:`~repro.data.binned.BinnedDataset` plane, so split indices and
 histogram bin codes are computed once per worker, not once per trial.
 
-Datasets whose labels are object-dtype (no stable buffer) fall back to
-the legacy pickled-dataset init.
+Object-dtype labels (no fixed-size buffer) ship as integer codes; their
+classes ride the init payload and the worker rebuilds ``y``.
+
+Shared memory is the only way the dataset reaches a worker.  An export
+that fails (``/dev/shm`` full, an injected ``shm.attach`` fault) leaves
+no segment and no pool: the first ``submit`` raises
+:class:`~repro.exec.base.PoolBrokenError`, and the engine degrades to
+the thread backend, which shares the dataset by reference.
 
 Trial payloads must be picklable:
 
@@ -34,7 +40,9 @@ retrained by the caller anyway.
 If a worker dies hard (segfault, ``os._exit``), the pool is rebuilt on
 the next submit; the in-flight trials surface ``BrokenProcessPool``,
 which the engine converts into inf-error outcomes — one bad trial never
-kills the search.
+kills the search.  A pool that keeps dying (workers that fail their
+attach die during spin-up) raises ``PoolBrokenError`` after
+``REBUILDS_TO_BROKEN`` deaths in a row, and the engine degrades.
 
 ``shutdown()`` unlinks every segment; a ``weakref.finalize`` backstop
 unlinks them if an executor is dropped without shutdown, so repeated
@@ -44,7 +52,6 @@ fits never accumulate ``/dev/shm`` blocks.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import os
 import uuid
 import weakref
@@ -66,8 +73,6 @@ from .base import FutureHandle, PoolBrokenError, TrialExecutor, TrialSpec, \
     run_spec
 
 __all__ = ["ProcessExecutor"]
-
-_log = logging.getLogger("repro.exec")
 
 #: prefix of every shared-memory segment this backend creates (leak
 #: checks grep ``/dev/shm`` for it)
@@ -92,10 +97,11 @@ def _maybe_shm_fault(stage: str, key) -> None:
     """Consult the ``shm.attach`` fault site for one export/attach.
 
     The rule's ``mode`` scopes which stage it hits: ``"export"`` fails
-    only the parent-side segment creation (exercising the immediate
-    pickle fallback), ``"attach"`` fails only the worker-side attach
-    (exercising the rebuild circuit breaker, since workers die during
-    pool spin-up), and ``None`` hits both.
+    only the parent-side segment creation (the executor builds no pool
+    and its first submit reports the substrate broken), ``"attach"``
+    fails only the worker-side attach (exercising the rebuild circuit
+    breaker, since workers die during pool spin-up), and ``None`` hits
+    both.
     """
     plan = active_fault_plan()
     if plan is None:
@@ -106,16 +112,6 @@ def _maybe_shm_fault(stage: str, key) -> None:
     if plan.decide("shm.attach", key=key) is not None:
         raise InjectedShmError(f"injected fault at shm.attach ({stage})")
 
-
-def _shm_fallback_counter(stage: str):
-    """Pickle-fallback events by stage: parent-side ``export`` failures
-    vs worker-side ``attach`` failures surfaced via pool rebuilds."""
-    return REGISTRY.counter(
-        "repro_shm_fallback_total",
-        "Shared-memory dataset shipping degraded to the pickled-dataset "
-        "init, by failing stage.",
-        stage=stage,
-    )
 
 #: the dataset each worker process evaluates against (set by the
 #: initializer; module-global so trials don't re-ship the arrays)
@@ -144,6 +140,16 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
         return shared_memory.SharedMemory(name=name)
 
 
+def _attach_array(meta: dict) -> np.ndarray:
+    """A read-only view over one exported segment (kept attached)."""
+    shm = _attach_segment(meta["shm"])
+    _WORKER_SEGMENTS.append(shm)
+    arr = np.ndarray(meta["shape"], dtype=np.dtype(meta["dtype"]),
+                     buffer=shm.buf)
+    arr.flags.writeable = False
+    return arr
+
+
 def _init_worker(payload: dict) -> None:
     """Build the worker's dataset from O(1) shared-memory metadata.
 
@@ -165,53 +171,36 @@ def _init_worker(payload: dict) -> None:
     # run_spec — fire with the same seeded determinism as in-process
     if payload.get("faults") is not None:
         install_fault_plan(payload["faults"])
-    if "dataset" in payload:  # legacy pickle path (object-dtype labels)
-        _WORKER_DATA = payload["dataset"]
-    elif "codes" in payload:
+    codes_only = "codes" in payload
+    if codes_only:
         # codes-only plane: attach the pre-binned uint8/uint16 base-code
         # matrix and y; the float feature matrix never crosses.  X is a
         # zero-byte broadcast stub (a single NaN strided to (n, d)) that
         # only carries the shape — every trial gathers from the adopted
         # codes, and a trial whose learner would read raw features fails
         # loudly (see evaluate._plane_error)
-        arrays = {}
-        for field in ("codes", "y"):
-            meta = payload[field]
-            shm = _attach_segment(meta["shm"])
-            _WORKER_SEGMENTS.append(shm)
-            arr = np.ndarray(
-                meta["shape"], dtype=np.dtype(meta["dtype"]), buffer=shm.buf
-            )
-            arr.flags.writeable = False
-            arrays[field] = arr
+        codes = _attach_array(payload["codes"])
+        y = _attach_array(payload["y"])
         n, d = payload["x_shape"]
-        stub = np.lib.stride_tricks.as_strided(
+        X = np.lib.stride_tricks.as_strided(
             np.full(1, np.nan), shape=(int(n), int(d)), strides=(0, 0)
         )
-        stub.flags.writeable = False
-        _WORKER_DATA = Dataset(
-            payload["name"], stub, arrays["y"], payload["task"],
-            tuple(payload["categorical"]),
-        )
+        X.flags.writeable = False
+    else:
+        X = _attach_array(payload["X"])
+        y = _attach_array(payload["y"])
+    if "classes" in payload:
+        # object labels crossed as integer codes into their classes
+        y = payload["classes"][y]
+        y.flags.writeable = False
+    _WORKER_DATA = Dataset(
+        payload["name"], X, y, payload["task"], tuple(payload["categorical"]),
+    )
+    if codes_only:
         _WORKER_DATA._codes_only = True
         plane_for(_WORKER_DATA).adopt_global_codes(
             payload["base"], payload["counts"], payload["defaults"],
-            payload["bundles"], arrays["codes"],
-        )
-    else:
-        arrays = {}
-        for field in ("X", "y"):
-            meta = payload[field]
-            shm = _attach_segment(meta["shm"])
-            _WORKER_SEGMENTS.append(shm)
-            arr = np.ndarray(
-                meta["shape"], dtype=np.dtype(meta["dtype"]), buffer=shm.buf
-            )
-            arr.flags.writeable = False
-            arrays[field] = arr
-        _WORKER_DATA = Dataset(
-            payload["name"], arrays["X"], arrays["y"], payload["task"],
-            tuple(payload["categorical"]),
+            payload["bundles"], codes,
         )
     warmup = payload.get("warmup")
     if warmup:
@@ -309,13 +298,11 @@ class ProcessExecutor(TrialExecutor):
 
     backend = "process"
 
-    #: consecutive pool rebuilds before the worker init payload degrades
-    #: to the pickled-dataset form (the usual culprit for a pool that
-    #: dies during spin-up is a failing shared-memory attach)
-    REBUILDS_TO_PICKLE = 2
     #: consecutive pool rebuilds before this executor declares its
     #: substrate broken (:class:`PoolBrokenError`) so the engine can
-    #: degrade the backend instead of thrashing rebuilds forever
+    #: degrade the backend instead of thrashing rebuilds forever (the
+    #: usual culprit for a pool that dies during spin-up is a failing
+    #: shared-memory attach)
     REBUILDS_TO_BROKEN = 4
 
     def __init__(self, data: Dataset, n_workers: int = 2,
@@ -334,12 +321,14 @@ class ProcessExecutor(TrialExecutor):
         floats, and ``None`` (default) ships codes automatically when
         the dataset is past the exact-binning limit and the warmup
         context says every searched learner is plane-aware.
-        Object-dtype labels always fall back to the pickled-dataset
-        init regardless."""
+
+        An ``OSError`` while exporting unlinks the half-export at once
+        and builds no pool; the first :meth:`submit` then raises
+        :class:`PoolBrokenError` chained to it."""
         super().__init__(data, n_workers=n_workers)
         self._warmup = dict(warmup) if warmup else None
         self._ship_codes = ship_codes
-        #: how the dataset went out: "codes", "float" or "pickle"
+        #: how the dataset went out: "codes" or "float"
         self.ship_mode: str = "float"
         #: pool rebuilds since the last trial that completed cleanly —
         #: the circuit-breaker input (reset by a healthy future)
@@ -353,20 +342,16 @@ class ProcessExecutor(TrialExecutor):
         self._segment_finalizer = weakref.finalize(
             self, _unlink_segments, self._segments
         )
+        self._pool: ProcessPoolExecutor | None = None
+        #: why the export failed (/dev/shm exhausted, an injected shm
+        #: fault); set means this executor has no pool
+        self._export_error: OSError | None = None
         try:
             self._init_payload = self._export_dataset(data)
         except OSError as exc:
-            # /dev/shm exhausted (ENOSPC) or an injected shm failure:
-            # recover by shipping the pickled dataset instead of failing
-            # the search, and unlink whatever half-export exists so the
-            # fallback leaves zero segments behind
-            _log.warning(
-                "shared-memory export failed (%s: %s); falling back to "
-                "pickled-dataset worker init", type(exc).__name__, exc,
-            )
-            _shm_fallback_counter("export").inc()
             _unlink_segments(self._segments)
-            self._init_payload = self._pickle_payload()
+            self._export_error = exc
+            return
         try:
             self._pool = self._make_pool()
         except BaseException:
@@ -388,9 +373,9 @@ class ProcessExecutor(TrialExecutor):
         _m_ship.get(kind, _m_ship["X"]).inc(int(arr.nbytes))
         return {"shm": shm.name, "shape": arr.shape, "dtype": arr.dtype.str}
 
-    def _resolve_ship_codes(self, data: Dataset, y: np.ndarray) -> bool:
+    def _resolve_ship_codes(self, data: Dataset) -> bool:
         """Decide the codes-vs-floats plane (see ``__init__``)."""
-        if self._ship_codes is False or y.dtype.hasobject:
+        if self._ship_codes is False:
             return False
         if self._ship_codes is True:
             return True
@@ -435,40 +420,27 @@ class ProcessExecutor(TrialExecutor):
         }
 
     def _export_dataset(self, data: Dataset) -> dict:
+        payload = {
+            "name": data.name,
+            "task": data.task,
+            "categorical": tuple(data.categorical),
+        }
         y = np.asarray(data.y)
         if y.dtype.hasobject:
-            # object labels have no fixed-size buffer; ship the pickle
-            payload = {"dataset": data}
-            self.ship_mode = "pickle"
-        elif self._resolve_ship_codes(data, y):
-            payload = {
-                "name": data.name,
-                "task": data.task,
-                "categorical": tuple(data.categorical),
-                "y": self._export_array(y, kind="y"),
-            }
+            # object labels have no fixed-size buffer: ship their integer
+            # codes, and the classes (small) ride the init payload
+            payload["classes"], y = np.unique(y, return_inverse=True)
+        if self._resolve_ship_codes(data):
+            payload["y"] = self._export_array(y, kind="y")
             payload.update(self._export_codes(data))
             self.ship_mode = "codes"
         else:
-            payload = {
-                "name": data.name,
-                "task": data.task,
-                "categorical": tuple(data.categorical),
-                "X": self._export_array(np.asarray(data.X, dtype=np.float64),
-                                        kind="X"),
-                "y": self._export_array(y, kind="y"),
-            }
+            payload["X"] = self._export_array(
+                np.asarray(data.X, dtype=np.float64), kind="X")
+            payload["y"] = self._export_array(y, kind="y")
             self.ship_mode = "float"
         if self._warmup:
             payload["warmup"] = self._warmup
-        return payload
-
-    def _pickle_payload(self) -> dict:
-        """The legacy pickled-dataset init payload (fallback plane)."""
-        payload: dict = {"dataset": self.data}
-        if self._warmup:
-            payload["warmup"] = self._warmup
-        self.ship_mode = "pickle"
         return payload
 
     @property
@@ -496,16 +468,9 @@ class ProcessExecutor(TrialExecutor):
             self.consecutive_rebuilds = 0
 
     def _note_rebuild(self, exc: BaseException) -> None:
-        """Account one pool death; escalate per the breaker thresholds.
-
-        ``REBUILDS_TO_PICKLE`` consecutive deaths degrade the worker
-        init to the pickled-dataset payload (a failing shared-memory
-        attach kills workers *during spin-up*, so the pool itself never
-        reports which stage died — swapping the init plane is the
-        recovery that covers it) and unlink the now-unused segments.
-        ``REBUILDS_TO_BROKEN`` consecutive deaths raise
-        :class:`PoolBrokenError` so the engine degrades the backend.
-        """
+        """Account one pool death; ``REBUILDS_TO_BROKEN`` consecutive
+        deaths raise :class:`PoolBrokenError` so the engine degrades the
+        backend."""
         self.consecutive_rebuilds += 1
         REGISTRY.counter(
             "repro_pool_rebuilds_total",
@@ -517,30 +482,23 @@ class ProcessExecutor(TrialExecutor):
                 f"row (last: {type(exc).__name__}: {exc}); giving up on "
                 "this substrate"
             ) from exc
-        if (
-            self.consecutive_rebuilds >= self.REBUILDS_TO_PICKLE
-            and self.ship_mode != "pickle"
-        ):
-            _log.warning(
-                "process pool died %d times in a row with the %r data "
-                "plane; degrading worker init to the pickled-dataset "
-                "payload and unlinking shared-memory segments",
-                self.consecutive_rebuilds, self.ship_mode,
-            )
-            _shm_fallback_counter("attach").inc()
-            self._init_payload = self._pickle_payload()
-            _unlink_segments(self._segments)
 
     def submit(self, spec: TrialSpec) -> FutureHandle:
         """Queue the trial onto the process pool, rebuilding it if a
         previous worker crash broke it (the shared segments outlive the
         pool, so a rebuild re-ships only metadata).
 
-        Rebuilds are supervised: consecutive deaths first degrade the
-        worker init to the pickled-dataset plane, then raise
-        :class:`PoolBrokenError` (see :meth:`_note_rebuild`); a healthy
-        completed trial resets the breaker.
+        Rebuilds are supervised: consecutive deaths raise
+        :class:`PoolBrokenError` (see :meth:`_note_rebuild`), as does
+        every submit after a failed export; a healthy completed trial
+        resets the breaker.
         """
+        if self._export_error is not None:
+            exc = self._export_error
+            raise PoolBrokenError(
+                f"shared-memory export failed ({type(exc).__name__}: "
+                f"{exc}); no worker pool"
+            ) from exc
         payload = {"spec": _spec_payload(spec), "trace": tracing_enabled()}
         while True:
             try:
@@ -560,5 +518,6 @@ class ProcessExecutor(TrialExecutor):
         POSIX: the mapping stays valid until the worker exits; the name
         just disappears immediately.
         """
-        self._pool.shutdown(wait=False, cancel_futures=True)
+        if self._pool is not None:
+            self._pool.shutdown(wait=False, cancel_futures=True)
         _unlink_segments(self._segments)

@@ -11,8 +11,10 @@ the properties the README promises —
 2. **Absorption**: a search under 20 % soft worker crashes (with
    retries on) converges to the *same best config* as the fault-free
    run — crashes cost retries, never answers.
-3. **No leaks**: injected shared-memory failures and mid-drill pool
-   rebuilds leave zero ``repro-ds-*`` segments in ``/dev/shm``.
+3. **Degradation without leaks**: an injected shared-memory failure
+   degrades a process-backend search to the thread backend, and it and
+   mid-drill pool rebuilds leave zero ``repro-ds-*`` segments in
+   ``/dev/shm``.
 4. **Load shedding**: an overloaded server rejects with
    :class:`AdmissionRejected` / :class:`BatcherSaturated` (the HTTP
    429/503 surface) instead of hanging, and serves normally again the
@@ -120,6 +122,7 @@ def _drill_search(report: dict, problems: list, data, args,
         and faulted_a.best_loss == clean.best_loss
     )
     report["search"] = {
+        "backend": faulted_a.search_result.backend,
         "trials": faulted_a.search_result.n_trials,
         "retries": retries_a,
         "deterministic": deterministic,
@@ -141,7 +144,9 @@ def _drill_search(report: dict, problems: list, data, args,
 def _drill_infra(report: dict, problems: list, data, args,
                  remaining) -> None:
     """Phase 3: infra faults (shm attach, failed trials, native build)
-    must degrade, not crash the search."""
+    must degrade, not crash the search.  On the process backend the
+    failed shared-memory export must have degraded the search to the
+    thread backend."""
     import numpy as np
 
     infra_plan = {
@@ -165,6 +170,7 @@ def _drill_infra(report: dict, problems: list, data, args,
         finished = bool(np.isfinite(automl.best_loss))
         result = automl.search_result
         report["infra"] = {
+            "backend": result.backend,
             "finished": finished,
             "trials": result.n_trials,
             "failed_trials": len(result.failures),
@@ -174,6 +180,11 @@ def _drill_infra(report: dict, problems: list, data, args,
             problems.append(
                 "infra drill: search under shm/trial faults found no "
                 "finite best error"
+            )
+        if args.backend == "process" and result.backend != "thread":
+            problems.append(
+                "infra drill: the process search under shm faults "
+                f"finished on {result.backend!r}, not degraded to 'thread'"
             )
     except Exception as exc:  # the whole point is that this never throws
         report["infra"] = {"finished": False, "error": repr(exc)}
@@ -320,11 +331,13 @@ def run_drill(args) -> int:
         print(json.dumps(report, indent=1, default=str))
     else:
         search, infra = report["search"], report["infra"]
-        print(f"search : {search['trials']} trials, "
+        print(f"search : backend={search['backend']} "
+              f"{search['trials']} trials, "
               f"{search['retries']} retries, "
               f"deterministic={search['deterministic']}, "
               f"crashes_absorbed={search['crashes_absorbed']}")
-        print(f"infra  : finished={infra.get('finished')} "
+        print(f"infra  : backend={infra.get('backend', '?')} "
+              f"finished={infra.get('finished')} "
               f"failed_trials={infra.get('failed_trials', '?')}")
         if "registry" in report:
             r = report["registry"]

@@ -24,8 +24,8 @@ Injection sites (see :data:`KNOWN_SITES`):
     exercising the engine's hard per-trial time limit.
 ``shm.attach``
     Shared-memory export (parent) or attach (worker) fails with
-    :class:`InjectedShmError`, exercising the pickle-fallback path and
-    segment-leak accounting.
+    :class:`InjectedShmError`, exercising the process backend's
+    degradation to the thread backend and segment-leak accounting.
 ``native.build``
     The native-kernel build fails, exercising the native→numpy
     degradation contract.

@@ -31,7 +31,7 @@ from .linear import (
     RidgeRegressor,
 )
 from .losses import LogisticLoss, SoftmaxLoss, SquaredLoss, get_loss
-from .model_io import dump_model, load_model, load_model_file, save_model
+from .model_io import dump_model, load_model
 from .naive_bayes import GaussianNB
 from .neighbors import KNeighborsClassifier, KNeighborsRegressor
 from .tree import ClassTreeGrower, GradTreeGrower, Tree
@@ -69,8 +69,6 @@ __all__ = [
     "dump_model",
     "get_loss",
     "load_model",
-    "load_model_file",
-    "save_model",
     "tuned_random_forest",
     "validate_data",
 ]

@@ -25,8 +25,6 @@ bit-identically to ``m``.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from .boosting import (
@@ -61,7 +59,7 @@ from .naive_bayes import GaussianNB
 from .neighbors import KNeighborsClassifier, KNeighborsRegressor
 from .tree import Tree
 
-__all__ = ["dump_model", "load_model", "save_model", "load_model_file"]
+__all__ = ["dump_model", "load_model"]
 
 _GBDT_CLASSES = {
     cls.__name__: cls
@@ -309,7 +307,7 @@ def dump_model(model) -> dict:
         }
     raise TypeError(
         f"{name} does not support pickle-free serialisation; use pickle, "
-        "or store the configuration and retrain (the CLI's default)"
+        "or store the configuration and retrain"
     )
 
 
@@ -432,15 +430,3 @@ def load_model(obj: dict):
         model.engine_ = engine
         return model
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def save_model(model, path: str) -> None:
-    """Dump a fitted estimator to a JSON file."""
-    with open(path, "w") as f:
-        json.dump(dump_model(model), f)
-
-
-def load_model_file(path: str):
-    """Load an estimator from a file written by :func:`save_model`."""
-    with open(path) as f:
-        return load_model(json.load(f))

@@ -26,8 +26,8 @@ from ..learners.model_io import dump_model, load_model
 
 __all__ = ["PipelineArtifact", "export_artifact", "ARTIFACT_FORMAT"]
 
-#: top-level ``format`` marker distinguishing artifacts from the legacy
-#: bare-estimator dumps of model_io (which carry ``kind`` instead)
+#: top-level ``format`` marker: a JSON file without it (a bare model_io
+#: estimator dump, which carries ``kind`` instead) is not an artifact
 ARTIFACT_FORMAT = "repro.pipeline"
 _ARTIFACT_VERSION = 1
 
@@ -141,7 +141,7 @@ class PipelineArtifact:
     @classmethod
     def from_dict(cls, obj: dict) -> "PipelineArtifact":
         """Reconstruct an artifact serialised by :meth:`to_dict`."""
-        if obj.get("format") != ARTIFACT_FORMAT:
+        if not isinstance(obj, dict) or obj.get("format") != ARTIFACT_FORMAT:
             raise ValueError(
                 "not a pipeline artifact (missing "
                 f"format={ARTIFACT_FORMAT!r} marker)"

@@ -67,25 +67,38 @@ class TestDatasets:
         assert "unknown dataset" in capsys.readouterr().err
 
 
+def _fit(train_csv, model_path, *extra):
+    return main(["fit", train_csv, "--budget", "1.0", "--max-iters", "8",
+                 "--out", model_path, "--estimators", "lgbm", *extra])
+
+
+def _csv_rows(path):
+    with open(path) as f:
+        return [[float(c) for c in line.split(",")]
+                for line in f.read().splitlines()[1:]]
+
+
 class TestFitPredict:
     def test_fit_writes_model(self, train_csv, tmp_path, capsys):
+        from repro.serve import PipelineArtifact
+
         model_path = str(tmp_path / "m.json")
-        rc = main(["fit", train_csv, "--label", "label", "--budget", "1.0",
-                   "--max-iters", "8", "--out", model_path,
-                   "--estimators", "lgbm", "--pickle"])
+        rc = _fit(train_csv, model_path, "--label", "label")
         assert rc == 0
-        model = json.loads(open(model_path).read())
-        assert model["learner"] == "lgbm"
-        assert model["task"] == "binary"
-        assert 0.0 <= model["best_error"] <= 1.0
+        artifact = PipelineArtifact.load(model_path)
+        assert artifact.task == "binary"
+        assert artifact.metadata["label"] == "label"
+        assert artifact.metadata["learner"] == "lgbm"
+        assert 0.0 <= artifact.metadata["best_error"] <= 1.0
+        assert artifact.metadata["train_csv"] == train_csv
         out = capsys.readouterr().out
         assert "best learner : lgbm" in out
+        assert f"model        : {model_path}" in out
 
-    def test_predict_from_pickle(self, train_csv, test_csv, tmp_path, capsys):
+    def test_predict_from_artifact(self, train_csv, test_csv, tmp_path,
+                                   capsys):
         model_path = str(tmp_path / "m.json")
-        main(["fit", train_csv, "--label", "label", "--budget", "1.0",
-              "--max-iters", "8", "--out", model_path,
-              "--estimators", "lgbm", "--pickle"])
+        _fit(train_csv, model_path, "--label", "label")
         pred_path = str(tmp_path / "preds.csv")
         rc = main(["predict", model_path, test_csv, "--out", pred_path])
         assert rc == 0
@@ -95,9 +108,7 @@ class TestFitPredict:
 
     def test_predict_proba_stdout(self, train_csv, test_csv, tmp_path, capsys):
         model_path = str(tmp_path / "m.json")
-        main(["fit", train_csv, "--label", "label", "--budget", "1.0",
-              "--max-iters", "8", "--out", model_path,
-              "--estimators", "lgbm", "--pickle"])
+        _fit(train_csv, model_path, "--label", "label")
         capsys.readouterr()
         rc = main(["predict", model_path, test_csv, "--proba"])
         assert rc == 0
@@ -106,32 +117,86 @@ class TestFitPredict:
         p = np.array([[float(c) for c in r.split(",")] for r in rows])
         assert np.allclose(p.sum(axis=1), 1.0)
 
-    def test_save_model_flag_and_pickleless_predict(self, train_csv, test_csv,
-                                                    tmp_path, capsys):
-        model_path = str(tmp_path / "m.json")
-        main(["fit", train_csv, "--label", "label", "--budget", "1.0",
-              "--max-iters", "8", "--out", model_path,
-              "--estimators", "lgbm", "--save-model"])
-        import os
+    def test_predict_reads_save_model_artifact(self, train_csv, tmp_path,
+                                               capsys):
+        """An artifact from ``AutoML.save_model`` carries no label
+        metadata; ``predict`` takes the last column as the label, as
+        ``fit`` does by default."""
+        from repro import AutoML
 
-        assert os.path.exists(model_path + ".model.json")
+        train = np.array(_csv_rows(train_csv))
+        X, y = train[:, :-1], train[:, -1].astype(int)
+        automl = AutoML(seed=0, init_sample_size=100)
+        automl.fit(X, y, task="classification", time_budget=1.0,
+                   max_iters=8, estimator_list=["lgbm"])
+        model_path = str(tmp_path / "saved.json")
+        automl.save_model(model_path)
         capsys.readouterr()
-        rc = main(["predict", model_path, test_csv])
+        rc = main(["predict", model_path, train_csv])
         assert rc == 0
         preds = capsys.readouterr().out.strip().splitlines()
-        assert len(preds) == 20
+        assert preds == [str(v) for v in automl.predict(X)]
 
-    def test_predict_retrains_without_pickle(self, train_csv, test_csv,
-                                             tmp_path, capsys):
+    def test_predict_rejects_recipe_json(self, train_csv, test_csv,
+                                         tmp_path, capsys):
+        """The configuration-recipe JSON that ``fit`` wrote before the
+        artifact became its one model file, a bare estimator dump and a
+        JSON list are not pipeline artifacts: exit 2, no retrain, no
+        traceback."""
+        from repro.learners import LGBMLikeClassifier, dump_model
+
+        recipe = str(tmp_path / "recipe.json")
+        with open(recipe, "w") as f:
+            json.dump({"task": "binary", "label": "label", "n_features": 3,
+                       "learner": "lgbm", "config": {"tree_num": 4},
+                       "best_error": 0.1, "metric": "auto", "seed": 0,
+                       "train_csv": train_csv, "n_trials": 8}, f)
+        train = np.array(_csv_rows(train_csv))
+        bare = str(tmp_path / "bare.json")
+        with open(bare, "w") as f:
+            json.dump(dump_model(LGBMLikeClassifier(tree_num=4).fit(
+                train[:, :-1], train[:, -1].astype(int))), f)
+        not_a_dict = str(tmp_path / "list.json")
+        with open(not_a_dict, "w") as f:
+            json.dump([1, 2], f)
+        for path in (recipe, bare, not_a_dict):
+            capsys.readouterr()
+            assert main(["predict", path, test_csv]) == 2
+            err = capsys.readouterr().err
+            assert "not a pipeline artifact" in err
+            assert "Traceback" not in err
+
+    def test_out_file_serves_like_predict(self, train_csv, test_csv,
+                                          tmp_path, capsys):
+        """The one file ``fit --out`` writes is what ``serve --artifact``
+        serves: ``/predict`` answers the test rows exactly as
+        ``predict`` does."""
+        import threading
+
+        from repro.serve import ModelServer, PipelineArtifact, ServeClient, \
+            build_http_server
+
         model_path = str(tmp_path / "m.json")
-        main(["fit", train_csv, "--label", "label", "--budget", "1.0",
-              "--max-iters", "8", "--out", model_path,
-              "--estimators", "lgbm"])
-        capsys.readouterr()
-        rc = main(["predict", model_path, test_csv])
-        assert rc == 0
-        preds = capsys.readouterr().out.strip().splitlines()
-        assert len(preds) == 20
+        _fit(train_csv, model_path, "--label", "label")
+        pred_path = str(tmp_path / "preds.csv")
+        assert main(["predict", model_path, test_csv,
+                     "--out", pred_path]) == 0
+        expected = open(pred_path).read().split()
+        server = ModelServer(
+            artifacts={"model": PipelineArtifact.load(model_path)})
+        httpd = build_http_server(server, port=0)
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServeClient(
+                f"http://127.0.0.1:{httpd.server_address[1]}")
+            served = client.predict(_csv_rows(test_csv), model="model")
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+            server.close()
+            thread.join(timeout=5)
+        assert [str(v) for v in served] == expected
 
     def test_fit_missing_file_is_error(self, capsys):
         assert main(["fit", "/nonexistent.csv"]) == 2
@@ -147,8 +212,7 @@ class TestFitPredict:
         """With a positional label (default -1), a feature-only test CSV is
         recognised by its width rather than misparsed."""
         model_path = str(tmp_path / "m.json")
-        main(["fit", train_csv, "--budget", "1.0", "--max-iters", "8",
-              "--out", model_path, "--estimators", "lgbm", "--pickle"])
+        _fit(train_csv, model_path)
         capsys.readouterr()
         rc = main(["predict", model_path, test_csv])
         assert rc == 0

@@ -108,16 +108,12 @@ class TestZeroCopyInit:
         assert remote.error == serial.error
         assert remote.model is None
 
-    def test_object_dtype_labels_fall_back_to_pickle(self):
-        X = np.random.default_rng(0).standard_normal((40, 3))
-        y = np.array(["a", "b"] * 20, dtype=object)
-        data = Dataset("obj", X, y, "binary")
-        ex = ProcessExecutor(data, n_workers=1)
-        try:
-            assert "dataset" in ex._init_payload
-            assert ex._segments == []
-        finally:
-            ex.shutdown()
+    def test_object_dtype_labels_ship_as_codes(self, data):
+        """Object labels cross as integer codes over shared memory; the
+        worker rebuilds ``y`` from the classes in the init payload."""
+        _assert_object_labels_ship_as_codes(
+            _object_labels(data, "obj"), make_spec(labels=OBJ_CLASSES),
+        )
 
 
 class TestWorkerPlaneWarmup:
@@ -261,6 +257,38 @@ def _detach_worker(saved):
     process_mod._WORKER_DATA = data_saved
 
 
+OBJ_CLASSES = np.array(["neg", "pos"], dtype=object)
+
+
+def _object_labels(data, name):
+    """``data`` with its 0/1 labels replaced by object-dtype strings."""
+    return Dataset(name, data.X, OBJ_CLASSES[data.y], data.task,
+                   data.categorical)
+
+
+def _assert_object_labels_ship_as_codes(data, spec, ship_codes=None):
+    """The init payload is metadata over two segments, the worker's
+    ``y`` equals the parent's element for element, and a trial in a
+    real worker process scores exactly like the serial trial."""
+    from repro.exec import SerialExecutor
+
+    serial = SerialExecutor(data).submit(spec).result()
+    assert serial.failure is None and 0.0 < serial.error < 1.0
+    with ProcessExecutor(data, n_workers=1, ship_codes=ship_codes) as ex:
+        assert "dataset" not in ex._init_payload
+        assert len(ex._segments) == 2
+        saved = _attach_worker(ex)
+        try:
+            worker_y = process_mod._WORKER_DATA.y
+            assert worker_y.dtype == object
+            assert list(worker_y) == list(data.y)
+        finally:
+            _detach_worker(saved)
+        remote = ex.submit(spec).result(timeout=120)
+    assert remote.failure is None
+    assert remote.error == serial.error
+
+
 class TestCodesPlane:
     """The large-n code-shipping plane: workers get the pre-binned
     uint8/uint16 sketch-grid matrix over shm instead of float64 X.
@@ -401,17 +429,16 @@ class TestCodesPlane:
         with ProcessExecutor(data, n_workers=1, warmup=warm) as ex:
             assert ex.ship_mode == "float"  # exact path stays bitwise
 
-    def test_object_labels_fall_back_to_pickle(self):
-        X = np.random.default_rng(0).standard_normal((300, 3))
-        y = np.array(["a", "b"] * 150, dtype=object)
-        data = Dataset("obj-codes", X, y, "binary")
-        ex = ProcessExecutor(data, n_workers=1, ship_codes=True)
-        try:
-            assert ex.ship_mode == "pickle"
-            assert "dataset" in ex._init_payload
-            assert ex._segments == []
-        finally:
-            ex.shutdown()
+    def test_object_labels_ship_as_codes(self, monkeypatch):
+        from repro.data.binned import BinnedDataset
+
+        monkeypatch.setattr(BinnedDataset, "EXACT_ROW_LIMIT", 100)
+        _assert_object_labels_ship_as_codes(
+            _object_labels(self._big(seed=10, name="shm-codes-obj"),
+                           "obj-codes"),
+            make_spec(labels=OBJ_CLASSES, sample_size=2000),
+            ship_codes=True,
+        )
 
     def test_non_plane_learner_fails_loudly(self, monkeypatch):
         """A learner that needs raw features must surface an inf-error
@@ -528,11 +555,12 @@ class TestTeardown:
 
 
 class TestInjectedShmFaults:
-    """The ``shm.attach`` fault site drives both shared-memory recovery
-    paths: a parent-side export failure degrades to the pickled-dataset
-    init immediately, and worker-side attach failures (workers dying
-    during pool spin-up) trip the rebuild circuit breaker into the same
-    degradation — in both cases with zero leaked segments."""
+    """The ``shm.attach`` fault site drives the one recovery path: a
+    parent-side export failure and worker-side attach failures (workers
+    dying during pool spin-up) both end in :class:`PoolBrokenError`,
+    and the engine degrades the search to the thread backend, which
+    shares the dataset by reference — in both cases with zero leaked
+    segments."""
 
     @pytest.fixture(autouse=True)
     def no_leftover_plan(self):
@@ -542,51 +570,72 @@ class TestInjectedShmFaults:
         yield
         install(prev)
 
-    def test_export_fault_falls_back_to_pickle(self, data):
+    def test_export_fault_degrades_engine_to_thread(self, data,
+                                                    monkeypatch):
+        from repro.exec import ExecutionEngine, PoolBrokenError, \
+            SerialExecutor
         from repro.faults import FaultPlan, install
 
         before = shm_files()
+        spec = make_spec()
+        serial = SerialExecutor(data).submit(spec).result()
+
+        def enospc_on_y(stage, key):  # /dev/shm fills after X is out
+            if key == ("export", "y"):
+                raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as m:
+            m.setattr(process_mod, "_maybe_shm_fault", enospc_on_y)
+            ex = ProcessExecutor(data, n_workers=1)
+        assert ex._segments == []
+        assert shm_files() == before  # the half-export is unlinked at once
+        with pytest.raises(PoolBrokenError) as info:
+            ex.submit(spec)
+        assert "shared-memory export failed" in str(info.value)
+        assert info.value.__cause__.errno == 28
+        ex.shutdown()  # no pool was ever built
+
         install(FaultPlan({"shm.attach": {"probability": 1.0,
                                           "mode": "export"}}))
-        ex = ProcessExecutor(data, n_workers=1)
+        engine = ExecutionEngine(ProcessExecutor(data, n_workers=1))
         try:
-            assert ex.ship_mode == "pickle"
-            assert "dataset" in ex._init_payload
-            assert ex._segments == []
-            assert shm_files() == before  # half-exports unlinked too
-            out = ex.submit(make_spec()).result(timeout=120)
-            assert np.isfinite(out.error)
+            out = engine.submit(spec).outcome(timeout=120)
+            assert out.failure is None
+            assert out.error == serial.error
+            assert engine.degradations == [("process", "thread")]
+            assert engine.backend == "thread"
         finally:
-            ex.shutdown()
+            engine.shutdown()
         assert shm_files() == before
 
-    def test_attach_faults_trip_breaker_into_pickle_degrade(self, data):
+    def test_attach_faults_degrade_engine_to_thread(self, data):
         """Workers dying at attach break the pool during spin-up; after
-        ``REBUILDS_TO_PICKLE`` consecutive rebuilds the executor swaps
-        the init payload for the pickled dataset, unlinks the now-unused
-        segments mid-search, and trials start succeeding."""
+        ``REBUILDS_TO_BROKEN`` consecutive rebuilds the engine swaps the
+        process backend for the thread backend, whose trials succeed."""
+        from repro.exec import ExecutionEngine
         from repro.faults import FaultPlan, install
 
         before = shm_files()
         install(FaultPlan({"shm.attach": {"probability": 1.0,
                                           "mode": "attach"}}))
         ex = ProcessExecutor(data, n_workers=1)
+        assert ex.ship_mode == "float"  # export itself is untouched
+        assert len(ex._segments) == 2
+        engine = ExecutionEngine(ex)
         try:
-            assert ex.ship_mode == "float"  # export itself is untouched
-            assert len(ex._segments) == 2
-            rebuilds = 0
-            out = None
-            for _ in range(ex.REBUILDS_TO_PICKLE + 2):
-                try:
-                    out = ex.submit(make_spec()).result(timeout=120)
+            for _ in range(ex.REBUILDS_TO_BROKEN + 1):
+                if engine.backend == "thread":
                     break
-                except Exception:
-                    rebuilds += 1
-            assert out is not None and np.isfinite(out.error)
-            assert ex.ship_mode == "pickle"
+                engine.submit(make_spec()).outcome(timeout=120)
+            assert ex.consecutive_rebuilds == ex.REBUILDS_TO_BROKEN
+            assert engine.degradations == [("process", "thread")]
             assert ex._segments == []  # unlinked at degradation time
+            for seed in (1, 2):
+                out = engine.submit(make_spec(seed=seed)).outcome(
+                    timeout=120)
+                assert out.failure is None and np.isfinite(out.error)
         finally:
-            ex.shutdown()
+            engine.shutdown()
         assert shm_files() == before
 
     def test_hard_midsearch_kill_retried_with_zero_leaks(self, data):

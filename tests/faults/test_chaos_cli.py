@@ -39,6 +39,21 @@ class TestChaosCommand:
         # the drill must not leave a fault plan installed
         assert active() is None
 
+    def test_drill_passes_on_process_backend(self, capsys):
+        """The default backend, where the shared-memory plane lives: the
+        infra phase's shm fault must degrade that search to the thread
+        backend, and no segment may leak."""
+        rc = cli.main(["chaos", "--seed", "0", "--budget", "60s", "--json"])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        report = json.loads(out)
+        assert report["passed"] is True, report["problems"]
+        assert report["backend"] == "process"
+        assert report["search"]["backend"] == "process"
+        assert report["infra"]["backend"] == "thread"
+        assert report["shm_leaked_segments"] == []
+        assert active() is None
+
     def test_json_report(self, capsys):
         rc = cli.main(["chaos", "--seed", "0", "--budget", "60s",
                        "--backend", "serial", "--json"])
@@ -48,6 +63,8 @@ class TestChaosCommand:
         assert report["passed"] is True
         assert report["seed"] == 0
         assert report["problems"] == []
+        assert report["search"]["backend"] == "serial"
+        assert report["infra"]["backend"] == "serial"
         assert report["search"]["deterministic"] is True
         assert report["search"]["crashes_absorbed"] is True
         assert report["shm_leaked_segments"] == []

@@ -1,8 +1,6 @@
 """The no-code forecasting loop: datasets --export -> fit --task forecast
 -> predict, all through ``python -m repro``'s main()."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -18,18 +16,15 @@ def series_csv(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def fitted_files(series_csv, tmp_path_factory):
-    out_dir = tmp_path_factory.mktemp("fc-model")
-    model = str(out_dir / "model.json")
-    artifact = str(out_dir / "fc.artifact.json")
+def model_file(series_csv, tmp_path_factory):
+    model = str(tmp_path_factory.mktemp("fc-model") / "fc.json")
     code = main([
         "fit", series_csv, "--task", "forecast", "--horizon", "12",
         "--seasonal-period", "12", "--budget", "10", "--max-iters", "10",
-        "--estimators", "lgbm", "--out", model, "--save-model",
-        "--artifact", artifact,
+        "--estimators", "lgbm", "--out", model,
     ])
     assert code == 0
-    return model, artifact
+    return model
 
 
 def test_datasets_lists_forecast_regimes(capsys):
@@ -45,19 +40,19 @@ def test_exported_series_round_trips(series_csv):
     assert ds.y.dtype == np.float64
 
 
-def test_fit_reports_baseline_comparison(series_csv, fitted_files, capsys):
-    model, artifact = fitted_files
-    with open(model) as f:
-        payload = json.load(f)
-    assert payload["task"] == "forecast"
-    assert payload["horizon"] == 12
-    assert payload["seasonal_period"] == 12
-    assert np.isfinite(payload["best_error"])
+def test_fit_reports_baseline_comparison(series_csv, model_file, capsys):
+    from repro.serve import PipelineArtifact
+
+    artifact = PipelineArtifact.load(model_file)
+    assert artifact.task == "forecast"
+    assert artifact.metadata["horizon"] == 12
+    assert artifact.metadata["seasonal_period"] == 12
+    assert np.isfinite(artifact.metadata["best_error"])
 
 
-def test_cli_predict_emits_h_forecasts(series_csv, fitted_files, tmp_path,
+def test_cli_predict_emits_h_forecasts(series_csv, model_file, tmp_path,
                                        capsys):
-    model, _ = fitted_files
+    model = model_file
     # history file: the last 60 observations of the series
     ds = from_csv(series_csv, task="forecast")
     hist_csv = str(tmp_path / "history.csv")
@@ -74,9 +69,9 @@ def test_cli_predict_emits_h_forecasts(series_csv, fitted_files, tmp_path,
     assert all(np.isfinite(preds))
 
 
-def test_cli_predict_proba_refused_for_forecast(series_csv, fitted_files,
+def test_cli_predict_proba_refused_for_forecast(series_csv, model_file,
                                                 capsys):
-    model, _ = fitted_files
+    model = model_file
     assert main(["predict", model, series_csv, "--proba"]) == 2
     assert "proba" in capsys.readouterr().err
 

@@ -1,5 +1,7 @@
 """Tests for pickle-free model serialisation (repro.learners.model_io)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,6 @@ from repro.learners import (
     XGBLimitDepthRegressor,
     dump_model,
     load_model,
-    load_model_file,
-    save_model,
 )
 
 CLS_FACTORIES = [
@@ -89,9 +89,9 @@ class TestRegressorRoundtrip:
     def test_file_roundtrip(self, factory, regression_split, tmp_path):
         Xtr, ytr, Xte, _ = regression_split
         m = factory().fit(Xtr, ytr)
-        path = str(tmp_path / "model.json")
-        save_model(m, path)
-        back = load_model_file(path)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(dump_model(m)))
+        back = load_model(json.loads(path.read_text()))
         assert np.allclose(m.predict(Xte), back.predict(Xte))
 
 

@@ -1,5 +1,5 @@
 """PipelineArtifact: export, raw-row prediction, JSON round-trip, and
-the save_model/load_model path (including legacy files)."""
+the save_model/load_model path (artifacts only)."""
 
 import json
 
@@ -14,7 +14,7 @@ from repro.data.preprocessing import (
     dump_preprocessor,
     load_preprocessor,
 )
-from repro.learners.model_io import save_model as _legacy_save
+from repro.learners.model_io import dump_model
 from repro.serve import PipelineArtifact, export_artifact
 
 
@@ -87,20 +87,14 @@ class TestRoundTrip:
         assert np.isnan(X).any()
         assert np.array_equal(revived.predict(X), fitted_automl.predict(X))
 
-    def test_legacy_model_file_still_loads(self, fitted_automl, served_data,
-                                           tmp_path):
-        X, _ = served_data
-        path = str(tmp_path / "legacy.json")
-        _legacy_save(fitted_automl.model, path)  # old bare-estimator format
-        revived = AutoML.load_model(path)
-        assert revived.metadata.get("legacy_model_file")
-        assert revived.task == "binary"
-        # legacy files never carried preprocessing, so compare on
-        # already-preprocessed rows
-        Xp = fitted_automl._apply_preprocessor(X)
-        assert np.array_equal(
-            revived.predict(Xp), fitted_automl.model.predict(Xp)
-        )
+    def test_bare_estimator_dump_is_rejected(self, fitted_automl, tmp_path):
+        """``load_model`` reads pipeline artifacts only: a bare
+        model_io estimator dump (no preprocessing) is refused."""
+        path = str(tmp_path / "bare.json")
+        with open(path, "w") as f:
+            json.dump(dump_model(fitted_automl.model), f)
+        with pytest.raises(ValueError, match="not a pipeline artifact"):
+            AutoML.load_model(path)
 
     def test_rejects_wrong_format(self):
         with pytest.raises(ValueError, match="not a pipeline artifact"):
